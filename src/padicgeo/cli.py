@@ -440,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_i.set_defaults(func=_cmd_igf)
 
     p_r = sub.add_parser("reproduce-paper", help="run the full acceptance suite", parents=[common])
-    p_r.add_argument("--prime", type=int, default=None, help="informational; criteria pin their own primes")
     p_r.add_argument("--seed", type=int, default=42)
     p_r.add_argument("--only", type=int, nargs="*", default=None, help="criterion indices")
     p_r.add_argument("--print-json", action="store_true")

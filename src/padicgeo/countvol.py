@@ -22,12 +22,14 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
+    ConsistencyError,
     DimensionMismatch,
     NotSmoothModP,
     NotStabilized,
 )
+from .linalg import det
 from .proj import ResidueProjPoint, proj_space_count, volume_proj_space
-from .zp import INF, _int_det, vp_int
+from .zp import INF, vp_int
 
 
 @dataclass(frozen=True)
@@ -165,9 +167,6 @@ class AlgebraicSet:
 
 @dataclass
 class CountConfig:
-    max_prime: int = 7
-    max_ambient: int = 3
-    max_level: int = 6
     class_budget: int = 10**7
     extra_levels: int = 8
     smooth_locus_only: bool = False
@@ -277,7 +276,7 @@ class _LiftingTree:
         best = INF
         for rset in itertools.combinations(range(len(rows)), r):
             for cset in itertools.combinations(range(self.n + 1), r):
-                minor = _int_det([[rows[i][j] for j in cset] for i in rset])
+                minor = det([[rows[i][j] for j in cset] for i in rset])
                 v = vp_int(minor, self.p)
                 if v < best:
                     best = v
@@ -481,7 +480,8 @@ def weil_special_case(xset: AlgebraicSet, p: int, config: CountConfig | None = N
     n1 = len(tree.levels[1])
     value = Fraction(n1, p**xset.dim)
     est = estimate_volume(xset, p, 2, config)
-    assert est.value == value, "smooth-case volume must match the full estimate"
+    if est.value != value:
+        raise ConsistencyError(f"smooth-case volume {value} != full estimate {est.value}")
     return value
 
 

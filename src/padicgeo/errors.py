@@ -33,6 +33,10 @@ class NotStabilized(PadicError):
         self.estimate = estimate
 
 
+class ConsistencyError(PadicError):
+    """Two exact computations of one quantity disagree."""
+
+
 class NotSmoothModP(PadicError):
     """A mod-p point fails the unit-Jacobian requirement."""
 

@@ -19,6 +19,7 @@ from .errors import (
     IdenticallyZeroAtPrecision,
     InsufficientPrecision,
 )
+from .linalg import full_rank_mod, signed_maximal_minors
 from .proj import ball_volume, volume_proj_space
 from .roots import (
     EXACT,
@@ -29,7 +30,7 @@ from .roots import (
 )
 from .sample import MAHLER, MONOMIAL, HaarMatrix, RandomPolyModel, Stream, sample_poly
 from .veronese import floor_log, mahler_curve_volume
-from .zp import _int_det, vp_int
+from .zp import vp_int
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,7 @@ class LinearSubspace:
 
     def check_reduced(self, p: int):
         """Equations must stay independent over F_p (unit elementary divisors)."""
-        rows = [list(r) for r in self.equations]
-        rank = 0
-        cols = self.ambient + 1
-        mat = [[x % p for x in row] for row in rows]
-        for c in range(cols):
-            piv = next((r for r in range(rank, len(mat)) if mat[r][c] % p), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = pow(mat[rank][c], -1, p)
-            for r in range(len(mat)):
-                if r != rank and mat[r][c]:
-                    f = mat[r][c] * inv % p
-                    mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-            rank += 1
-        if rank != self.codim:
+        if not full_rank_mod(self.equations, p):
             raise ValueError(f"equations drop rank mod {p}")
 
     def integer_point(self):
@@ -128,22 +114,13 @@ def intersect_linear(subspaces, p: int) -> IntersectionResult:
     if sum(s.codim for s in subspaces) != n:
         raise ValueError("codimensions must sum to the ambient dimension")
     rows = [list(r) for s in subspaces for r in s.equations]
-    minors = _signed_maximal_minors(rows)
+    minors = signed_maximal_minors(rows)
     if all(x == 0 for x in minors):
         return IntersectionResult(False, None, False)
     transversal = any(x % p != 0 for x in minors)  # unit maximal minor
     g = math.gcd(*[abs(x) for x in minors if x])
     point = tuple(x // g for x in minors)
     return IntersectionResult(True, point, transversal)
-
-
-def _signed_maximal_minors(rows):
-    cols = len(rows[0])
-    out = []
-    for j in range(cols):
-        sub = [[row[c] for c in range(cols) if c != j] for row in rows]
-        out.append((-1) ** j * _int_det(sub))
-    return out
 
 
 # -- Monte Carlo machinery -----------------------------------------------------
@@ -313,7 +290,7 @@ def mc_linear_lemma(
                 _matvec_mod(list(zip(*gy_inv)), e, q) for e in y.equations
             ]
             rows += h_rows
-            minors = [m % q for m in _signed_maximal_minors(rows)]
+            minors = [m % q for m in signed_maximal_minors(rows)]
             norm = _normalize_mod(minors, p, digits)
             if norm is None:
                 digits *= 2

@@ -1,0 +1,84 @@
+"""Exact linear algebra, all of it built on one integer determinant.
+
+``det`` is fraction-free Bareiss elimination over Z. Rational determinants,
+maximal minors, rows of inverses modulo p^m and rank tests modulo p are
+expressed through it, so each answer is the unique exact value and does not
+depend on pivot choices.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+
+def det(rows) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def rational_det(rows) -> Fraction:
+    """Exact determinant of a square rational matrix.
+
+    Each row is scaled by the lcm of its denominators, the integer
+    determinant is taken, and the product of the scales is divided out.
+    """
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    ints = [[int(x * s) for x in row] for row, s in zip(rows, scales)]
+    return Fraction(det(ints), math.prod(scales))
+
+
+def signed_maximal_minors(rows):
+    """(-1)^j times the minor without column j, for an r x (r+1) matrix.
+
+    The vector is orthogonal to every row (Laplace expansion), so it spans
+    the kernel whenever the rows are independent.
+    """
+    cols = len(rows) + 1
+    return [
+        (-1) ** j * det([[row[c] for c in range(cols) if c != j] for row in rows])
+        for j in range(cols)
+    ]
+
+
+def inverse_row(rows, i: int, p: int, m: int):
+    """Row i of A^{-1} modulo p^m, for a square A invertible mod p.
+
+    The signed maximal minors of A^T without row i are (-1)^i times the
+    cofactors of column i, so their dot product with column i is
+    s = (-1)^i det A, a unit, and the row is the minors times s^{-1}
+    (Cramer's rule).
+    """
+    q = p**m
+    others = [[row[c] for row in rows] for c in range(len(rows)) if c != i]
+    minors = signed_maximal_minors(others)
+    s = sum(row[i] * x for row, x in zip(rows, minors))
+    inv = pow(s, -1, q)
+    return [x * inv % q for x in minors]
+
+
+def full_rank_mod(rows, p: int) -> bool:
+    """True when the r rows stay independent mod p: some r x r minor is a unit."""
+    columns = list(zip(*rows))
+    return any(det(sub) % p for sub in itertools.combinations(columns, len(rows)))

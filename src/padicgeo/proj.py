@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, PrecisionTooLow
+from .errors import BudgetExceeded, DomainViolation, PrecisionTooLow
 from .zp import PadicScalar, PadicVector, unit_inv_mod, wedge_norm
 
 ENUMERATION_BUDGET = 10**7
@@ -127,7 +127,8 @@ def proj_space_count(p: int, n: int, m: int) -> int:
     """#P^n(Z/p^m) = (p^{m(n+1)} - p^{(m-1)(n+1)}) / (p^m - p^{m-1})."""
     num = p ** (m * (n + 1)) - p ** ((m - 1) * (n + 1))
     den = p**m - p ** (m - 1)
-    assert num % den == 0
+    if num % den:
+        raise DomainViolation(f"no integer count of P^{n}(Z/p^{m})")
     return num // den
 
 

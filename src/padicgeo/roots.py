@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CertificationCapExceeded, IdenticallyZeroAtPrecision
+from .errors import CertificationCapExceeded, ConsistencyError, IdenticallyZeroAtPrecision
 from .zp import vp_int
 
 INF = math.inf
@@ -134,7 +134,8 @@ def squarefree_part(coeffs):
     if len(g) <= 1:
         return coeffs
     q, r = _poly_divmod(coeffs, g)
-    assert not r
+    if r:
+        raise ConsistencyError("gcd(f, f') does not divide f")
     den_lcm = math.lcm(*[c.denominator for c in q])
     ints = [int(c * den_lcm) for c in q]
     gc = math.gcd(*[abs(c) for c in ints if c] or [1])

@@ -13,6 +13,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 
+from . import linalg
 from .zp import DEFAULT_PRECISION, PadicMatrix, PadicScalar
 
 _BLOCK = 8  # bytes of PRF output consumed per draw
@@ -97,26 +98,6 @@ def sample_zp(stream: Stream, p: int, m: int = DEFAULT_PRECISION) -> PadicScalar
     return stream.digits(p).scalar(m)
 
 
-def _det_mod_p(rows, p: int) -> int:
-    n = len(rows)
-    m = [[x % p for x in row] for row in rows]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k] % p
-        inv = pow(m[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = m[i][k] * inv % p
-            for j in range(k, n):
-                m[i][j] = (m[i][j] - f * m[k][j]) % p
-    return det % p
-
-
 class HaarMatrix:
     """A Haar-distributed element of GL_size(Z_p), truncated on demand.
 
@@ -136,7 +117,7 @@ class HaarMatrix:
                 [stream.child("haar", r, i, j).digits(p) for j in range(size)]
                 for i in range(size)
             ]
-            if _det_mod_p([[d.digit(0) for d in row] for row in grid], p) != 0:
+            if linalg.det([[d.digit(0) for d in row] for row in grid]) % p != 0:
                 break
             r += 1
         self.entries = grid
@@ -150,30 +131,7 @@ class HaarMatrix:
 
     def inverse_row(self, i: int, m: int):
         """Row i of the inverse matrix, modulo p^m."""
-        return _solve_unit_system(self.residue_rows(m), i, self.p, m)
-
-
-def _solve_unit_system(rows, i: int, p: int, m: int):
-    """Row i of A^{-1} mod p^m for A invertible mod p (unit-pivot Gauss)."""
-    q = p**m
-    n = len(rows)
-    # solve A^T x = e_i; the solution is row i of A^{-1}
-    a = [[rows[c][r] % q for c in range(n)] for r in range(n)]
-    rhs = [1 if r == i else 0 for r in range(n)]
-    for k in range(n):
-        piv = next(r for r in range(k, n) if a[r][k] % p != 0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            rhs[k], rhs[piv] = rhs[piv], rhs[k]
-        inv = pow(a[k][k], -1, q)
-        a[k] = [x * inv % q for x in a[k]]
-        rhs[k] = rhs[k] * inv % q
-        for r in range(n):
-            if r != k and a[r][k]:
-                f = a[r][k]
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[k])]
-                rhs[r] = (rhs[r] - f * rhs[k]) % q
-    return rhs
+        return linalg.inverse_row(self.residue_rows(m), i, self.p, m)
 
 
 def sample_haar_gl(stream: Stream, p: int, size: int, m: int = DEFAULT_PRECISION) -> PadicMatrix:
@@ -181,10 +139,6 @@ def sample_haar_gl(stream: Stream, p: int, size: int, m: int = DEFAULT_PRECISION
     if m < 1:
         raise ValueError("m must be >= 1")
     return HaarMatrix(stream, p, size).matrix(m)
-
-
-def haar_matrix(stream: Stream, p: int, size: int) -> HaarMatrix:
-    return HaarMatrix(stream, p, size)
 
 
 MONOMIAL = "monomial"
@@ -204,13 +158,10 @@ class RandomPolyModel:
     degree: int
     prime: int
     precision: int = DEFAULT_PRECISION
-    nvars: int = 1
 
     def __post_init__(self):
         if self.kind not in (MONOMIAL, MAHLER):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.nvars != 1:
-            raise ValueError("only univariate models are supported")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import InsufficientPrecision, PrecisionTooLow
 
 DEFAULT_PRECISION = 8
@@ -464,54 +465,6 @@ class PadicMatrix:
         return [[e.residue(m) for e in row] for row in self.entries]
 
 
-def _int_det(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _fraction_det(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
-
-
 def mat_det_valuation(mat: PadicMatrix):
     """Valuation of det(M); INF for an exactly zero determinant.
 
@@ -523,7 +476,7 @@ def mat_det_valuation(mat: PadicMatrix):
         raise ValueError("determinant of a non-square matrix")
     a = min(e.abs_precision for row in mat.entries for e in row)
     if a == INF:
-        det = _fraction_det([[e.exact_value() for e in row] for row in mat.entries])
+        det = linalg.rational_det([[e.exact_value() for e in row] for row in mat.entries])
         return INF if det == 0 else vp_fraction(det, mat.p)
     for row in mat.entries:
         for e in row:
@@ -532,7 +485,7 @@ def mat_det_valuation(mat: PadicMatrix):
     if a < 1:
         raise InsufficientPrecision("no shared integral precision")
     a = int(a)
-    det = _int_det(mat.residue_rows(a)) % mat.p**a
+    det = linalg.det(mat.residue_rows(a)) % mat.p**a
     if det == 0:
         raise InsufficientPrecision(f"determinant vanishes mod p^{a}")
     return vp_int(det, mat.p)

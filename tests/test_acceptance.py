@@ -6,8 +6,11 @@ everything else is exact with zero tolerance. One pass/fail line prints
 per criterion. The same suite backs `padicgeo reproduce-paper`.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from padicgeo import igf
 from padicgeo.accept import CRITERIA, run_criterion
 
 SEED = 42
@@ -30,3 +33,19 @@ def test_criterion(index):
         f"criterion {index} exceeded its runtime budget: "
         f"{res.runtime:.2f}s >= {res.runtime_budget:.0f}s"
     )
+
+
+def test_wrong_target_fails_its_criterion(monkeypatch):
+    """Criterion 9 checks its estimators' targets even when every mean hits them."""
+
+    def estimator(target_of):
+        def mc_igf_curve(p, curve, d, cfg):
+            target = target_of(p, curve, d)
+            return igf.McReport("curve", 1, float(target), 0.0, target, cfg.seed, 0)
+
+        return mc_igf_curve
+
+    monkeypatch.setattr(igf, "mc_igf_curve", estimator(igf.curve_target))
+    assert run_criterion(9, seed=SEED).passed
+    monkeypatch.setattr(igf, "mc_igf_curve", estimator(lambda p, curve, d: Fraction(2)))
+    assert not run_criterion(9, seed=SEED).passed

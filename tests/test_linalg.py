@@ -1,0 +1,83 @@
+"""Exact linear algebra: Bareiss determinant and what is built on it."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from padicgeo.igf import LinearSubspace
+from padicgeo.linalg import (
+    det,
+    full_rank_mod,
+    inverse_row,
+    rational_det,
+    signed_maximal_minors,
+)
+
+
+def leibniz(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def random_matrices(rng, entry):
+    """Square matrices of sizes 1-5, every third one made singular."""
+    for k in range(150):
+        n = rng.randint(1, 5)
+        rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
+        if k % 3 == 0 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [c * x for x in rows[j]]
+            assert leibniz(rows) == 0
+        yield rows
+
+
+def test_det_matches_leibniz_on_integer_matrices():
+    rng = random.Random(1)
+    for rows in random_matrices(rng, lambda r: r.randint(-4, 4)):
+        assert det(rows) == leibniz(rows)
+
+
+def test_rational_det_matches_leibniz_on_fraction_matrices():
+    rng = random.Random(2)
+    for rows in random_matrices(rng, lambda r: Fraction(r.randint(-5, 5), r.randint(1, 6))):
+        assert rational_det(rows) == leibniz(rows)
+
+
+def test_empty_determinant_is_one():
+    assert det([]) == 1
+
+
+def test_signed_maximal_minors_span_the_kernel():
+    rng = random.Random(3)
+    for r in range(1, 5):
+        rows = [[rng.randint(-6, 6) for _ in range(r + 1)] for _ in range(r)]
+        minors = signed_maximal_minors(rows)
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, minors)) == 0
+
+
+def test_inverse_row_of_a_unit():
+    assert inverse_row([[3]], 0, 5, 2) == [pow(3, -1, 25)]
+
+
+def test_full_rank_mod_p():
+    assert full_rank_mod([(1, 2, 0), (1, 7, 0)], 3)
+    assert not full_rank_mod([(1, 2, 0), (1, 7, 0)], 5)
+    assert full_rank_mod([], 5)
+
+
+def test_check_reduced_rejects_rank_drop_mod_p():
+    # independent over Q, but (1, 7, 0) = (1, 2, 0) mod 5
+    sub = LinearSubspace(2, [(1, 2, 0), (1, 7, 0)])
+    sub.check_reduced(3)
+    with pytest.raises(ValueError, match="drop rank mod 5"):
+        sub.check_reduced(5)

@@ -106,15 +106,18 @@ class TestHaar:
         first_try = sum(1 for r in rounds if r == 1) / n
         assert abs(first_try - 48 / 81) < 0.03
 
-    def test_inverse_row_is_exact(self):
-        g = HaarMatrix(Stream(77), 5, 3)
-        m = 6
-        q = 5**m
+    @pytest.mark.parametrize(
+        "size,p,m", list(itertools.product((2, 3, 4, 5), (2, 3, 5), (1, 6, 24)))
+    )
+    def test_inverse_row_is_exact(self, size, p, m):
+        g = HaarMatrix(Stream(77), p, size)
+        q = p**m
         rows = g.residue_rows(m)
-        for i in range(3):
+        for i in range(size):
             inv = g.inverse_row(i, m)
-            prod = [sum(inv[k] * rows[k][j] for k in range(3)) % q for j in range(3)]
-            assert prod == [1 if j == i else 0 for j in range(3)]
+            assert all(0 <= x < q for x in inv)
+            prod = [sum(inv[k] * rows[k][j] for k in range(size)) % q for j in range(size)]
+            assert prod == [1 if j == i else 0 for j in range(size)]
 
     def test_haar_invariance_mod_p(self):
         """The laws of g mod p and hg mod p agree (both uniform on GL)."""
