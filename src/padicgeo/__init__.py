@@ -27,8 +27,8 @@ from .proj import (
 )
 from .roots import (
     RootReport,
-    UnivariatePoly,
     adaptive_count,
+    count_roots,
     count_roots_annulus,
     count_roots_p1,
     count_roots_zp,
@@ -64,12 +64,12 @@ __all__ = [
     "ResidueProjPoint",
     "RootReport",
     "Stream",
-    "UnivariatePoly",
     "VeroneseMap",
     "VolumeEstimate",
     "adaptive_count",
     "arc_length",
     "count_points_mod",
+    "count_roots",
     "count_roots_annulus",
     "count_roots_p1",
     "count_roots_zp",

@@ -8,7 +8,6 @@ are reported but never serialized).
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -276,11 +275,9 @@ def _criterion_11(seed):
 
 def _oracle_root_count(coeffs, p, budget=400_000):
     """Certified-residue enumeration oracle (see the module test suite)."""
-    from .roots import poly_derivative, squarefree_part, trim
+    from .roots import poly_derivative, squarefree_part
 
-    sf = squarefree_part(trim(list(coeffs)))
-    gc = math.gcd(*[abs(c) for c in sf if c] or [1])
-    sf = [c // gc for c in sf]
+    sf = squarefree_part(coeffs)
     if len(sf) <= 1:
         return 0 if sf else None
     deriv = poly_derivative(sf)

@@ -90,18 +90,7 @@ def _write_csv(path, header, rows):
 def _cmd_roots(args) -> int:
     coeffs = [int(c) for c in args.coeffs.split(",")]
     precision = args.precision
-    poly = roots.UnivariatePoly(args.prime, tuple(coeffs), precision)
-    if args.chart == "zp":
-        rep = poly.count_zp()
-    elif args.chart == "p1":
-        rep = poly.count_p1()
-    elif args.chart == "qp":
-        rep = poly.count_qp()
-    elif args.chart.startswith("annulus:"):
-        m = int(args.chart.split(":")[1])
-        rep = poly.count_annulus(m)
-    else:
-        raise ValueError(f"unknown chart {args.chart!r}")
+    rep = roots.count_roots(args.prime, coeffs, args.chart, precision)
     config = ExperimentConfig(
         "roots",
         {
@@ -452,6 +441,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.no_files and not os.path.isdir(args.outdir):
+            raise ValueError(f"--outdir {args.outdir!r} is not a directory")
         return args.func(args)
     except PadicError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     CertificationCapExceeded,
+    ConsistencyError,
     IdenticallyZeroAtPrecision,
     InsufficientPrecision,
 )
@@ -27,6 +28,7 @@ from .roots import (
     count_roots_p1,
     count_roots_zp,
     power_coeffs_from_mahler,
+    precision_ladder,
 )
 from .sample import MAHLER, MONOMIAL, HaarMatrix, RandomPolyModel, Stream, sample_poly
 from .veronese import floor_log, mahler_curve_volume
@@ -125,14 +127,14 @@ def intersect_linear(subspaces, p: int) -> IntersectionResult:
 
 # -- Monte Carlo machinery -----------------------------------------------------
 
+MATRIX_DIGITS = 12  # first rung of the precision ladder for Haar samples
+
 
 @dataclass
 class McConfig:
     samples: int = 20_000
     seed: int = 0
     workers: int = 1
-    matrix_digits: int = 12
-    digit_cap: int = 64
 
 
 @dataclass
@@ -278,8 +280,7 @@ def mc_linear_lemma(
     def one_sample(stream):
         gx = HaarMatrix(stream.child("gx"), p, n + 1)
         gy = HaarMatrix(stream.child("gy"), p, n + 1)
-        digits = cfg.matrix_digits
-        while digits <= cfg.digit_cap:
+        for digits in precision_ladder(MATRIX_DIGITS):
             q = p**digits
             gx_inv = [gx.inverse_row(i, digits) for i in range(n + 1)]
             gy_inv = [gy.inverse_row(i, digits) for i in range(n + 1)]
@@ -293,18 +294,15 @@ def mc_linear_lemma(
             minors = [m % q for m in signed_maximal_minors(rows)]
             norm = _normalize_mod(minors, p, digits)
             if norm is None:
-                digits *= 2
                 continue
             z, zdigits = norm
             if zdigits < max(ball_x, ball_y) + 1:
-                digits *= 2
                 continue
             ux = _matvec_mod(gx_inv, z, p**zdigits)
             uy = _matvec_mod(gy_inv, z, p**zdigits)
             ux = _normalize_mod(ux, p, zdigits)
             uy = _normalize_mod(uy, p, zdigits)
             if ux is None or uy is None:
-                digits *= 2
                 continue
             member_x = _same_class(ux[0], cx, p, ball_x) if ball_x else True
             member_y = _same_class(uy[0], cy, p, ball_y) if ball_y else True
@@ -362,8 +360,7 @@ def mc_igf_curve(
 
     def one_sample(stream):
         g = HaarMatrix(stream.child("g"), p, size)
-        digits = cfg.matrix_digits
-        while digits <= cfg.digit_cap:
+        for digits in precision_ladder(MATRIX_DIGITS):
             coeffs = g.inverse_row(0, digits)
             try:
                 if curve == CURVE_MAHLER:
@@ -375,9 +372,8 @@ def mc_igf_curve(
                 rep = None
             if rep is not None and rep.status == EXACT:
                 if rep.count > d:
-                    raise AssertionError("count exceeded the degree bound")
+                    raise ConsistencyError(f"{rep.count} roots exceed the degree bound {d}")
                 return float(rep.count)
-            digits *= 2
         return None
 
     return _run_estimator(
@@ -387,9 +383,6 @@ def mc_igf_curve(
         cfg,
         {"p": p, "curve": curve, "degree": d, "target": target, "seed": cfg.seed},
     )
-
-
-REGIONS = ("p1", "zp", "qp")  # plus "annulus:m"
 
 
 def expected_zeros_target(kind: str, region: str, p: int, d: int) -> Fraction:
@@ -426,7 +419,7 @@ def mc_expected_zeros(
     def one_sample(stream):
         poly = sample_poly(model, stream)
         try:
-            rep = adaptive_count(poly, region, cap=cfg.digit_cap)
+            rep = adaptive_count(poly, region)
         except CertificationCapExceeded:
             return None
         return float(rep.count)
@@ -477,7 +470,7 @@ def density_uniformity_test(
     for stream in _sample_streams(cfg):
         poly = sample_poly(model, stream)
         try:
-            rep = adaptive_count(poly, "p1", cap=cfg.digit_cap)
+            rep = adaptive_count(poly, "p1")
         except CertificationCapExceeded:
             excluded += 1
             continue

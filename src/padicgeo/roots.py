@@ -5,6 +5,9 @@ mod p, certify simple residue roots (a unique lift exists whenever the
 reduced derivative is a unit), and recurse with t = a + p*s into multiple
 residue roots after dividing out content. Binary forms are counted on P^1
 through its two charts, and annulus counts use the reversed polynomial.
+``count_roots`` picks the counter for a region by name, and
+``precision_ladder`` is the one schedule of precisions that callers extend
+a sampled polynomial or matrix through.
 
 Counts are of DISTINCT roots. Exact-integer inputs are squarefree-reduced
 first; finite-precision inputs carry their uncertainty through the
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificationCapExceeded, ConsistencyError, IdenticallyZeroAtPrecision
+from .sample import MAHLER
 from .zp import vp_int
 
 INF = math.inf
@@ -27,7 +31,7 @@ LOWER_BOUND = "lower-bound"
 UNDETERMINED = "undetermined"
 
 DEPTH_BUDGET_FACTOR = 4  # recursion depth budget is 4*(d+1)
-ADAPTIVE_PRECISION_CAP = 64
+PRECISION_CAP = 64  # digits; the last rung of every precision ladder
 
 
 @dataclass(frozen=True)
@@ -128,18 +132,15 @@ def _poly_gcd(a, b):
 def squarefree_part(coeffs):
     """f / gcd(f, f') with integer primitive output (exact coefficients)."""
     coeffs = trim(coeffs)
-    if len(coeffs) <= 1:
-        return coeffs
-    g = _poly_gcd(coeffs, poly_derivative(coeffs))
-    if len(g) <= 1:
-        return coeffs
-    q, r = _poly_divmod(coeffs, g)
-    if r:
-        raise ConsistencyError("gcd(f, f') does not divide f")
-    den_lcm = math.lcm(*[c.denominator for c in q])
-    ints = [int(c * den_lcm) for c in q]
-    gc = math.gcd(*[abs(c) for c in ints if c] or [1])
-    return [c // gc for c in ints]
+    g = _poly_gcd(coeffs, poly_derivative(coeffs)) if len(coeffs) > 1 else []
+    if len(g) > 1:
+        q, r = _poly_divmod(coeffs, g)
+        if r:
+            raise ConsistencyError("gcd(f, f') does not divide f")
+        den_lcm = math.lcm(*[c.denominator for c in q])
+        coeffs = [int(c * den_lcm) for c in q]
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs] if content else coeffs
 
 
 def substitute_digit(coeffs, a, p, shift=1, mod=None):
@@ -264,22 +265,11 @@ def count_roots_p1(p, form, precision=None) -> RootReport:
         raise IdenticallyZeroAtPrecision("the zero form")
     affine = list(reversed(form))  # F(t, 1) ascending in t
     at_inf = form  # F(1, s) ascending in s
+    prec = precision
     if precision is None:
-        affine = squarefree_part(trim(affine)) if trim(affine) else []
-        at_inf = squarefree_part(trim(at_inf)) if trim(at_inf) else []
-        r1 = (
-            _count_in_region(p, affine, INF, 0, 0)
-            if affine
-            else RootReport(0, EXACT)
-        )
-        r2 = (
-            _count_in_region(p, at_inf, INF, 0, 1, chart="inf")
-            if at_inf
-            else RootReport(0, EXACT)
-        )
-    else:
-        r1 = _count_in_region(p, affine, precision, 0, 0)
-        r2 = _count_in_region(p, at_inf, precision, 0, 1, chart="inf")
+        affine, at_inf, prec = squarefree_part(affine), squarefree_part(at_inf), INF
+    r1 = _count_in_region(p, affine, prec, 0, 0)
+    r2 = _count_in_region(p, at_inf, prec, 0, 1, chart="inf")
     return r1.merged_with(r2)
 
 
@@ -295,11 +285,9 @@ def count_roots_annulus(p, coeffs, m, precision=None) -> RootReport:
     if all(c == 0 for c in coeffs):
         raise IdenticallyZeroAtPrecision("the zero polynomial")
     rev = list(reversed(coeffs))
+    prec = precision
     if precision is None:
-        rev = squarefree_part(trim(rev))
-        prec = INF
-    else:
-        prec = precision
+        rev, prec = squarefree_part(rev), INF
     total = RootReport(0, EXACT)
     for a in range(1, p):
         rep = _count_in_region(p, rev, prec, a * p**m, m + 1, chart="inf")
@@ -308,41 +296,64 @@ def count_roots_annulus(p, coeffs, m, precision=None) -> RootReport:
 
 
 def count_roots_qp(p, coeffs, precision=None) -> RootReport:
-    """Distinct roots in all of Q_p: Z_p roots plus roots with |x| > 1."""
+    """Distinct roots in all of Q_p: Z_p roots plus roots with |x| > 1.
+
+    A root x outside Z_p is y = 1/x in p Z_p for the reversed polynomial.
+    """
+    if precision is None:
+        sf = squarefree_part(coeffs)
+        if not sf:
+            raise IdenticallyZeroAtPrecision("the zero polynomial")
+        inside = _count_in_region(p, sf, INF, 0, 0)
+        # the reversal's constant term is f's leading coefficient, so y = 0
+        # is never a root of it
+        outside = _count_in_region(p, trim(reversed(sf)), INF, 0, 1, chart="inf")
+        return inside.merged_with(outside)
     coeffs = list(coeffs)
     inside = count_roots_zp(p, coeffs, precision)
-    rev = list(reversed(trim(coeffs) if precision is None else coeffs))
-    if not trim(rev):
-        return inside
-    if precision is None:
-        rev_sf = squarefree_part(trim(rev))
-        outside = _count_in_region(p, rev_sf, INF, 0, 1, chart="inf")
-        if poly_eval(rev_sf, 0) == 0:
-            # y = 0 is not a reciprocal of any x in Q_p; exactly one witness
-            # ball holds the root 0, drop it
-            outside = RootReport(
-                outside.count - 1,
-                outside.status,
-                [w for w in outside.witnesses if w.center % p ** w.level != 0],
-                outside.precision_consumed,
-                outside.unresolved_classes,
-            )
-    else:
-        q = p ** int(precision)
-        outside = _count_in_region(p, rev, precision, 0, 1, chart="inf")
-        if rev[0] % q == 0:
-            # the reversed constant term vanishes at precision: a root at
-            # y = 0 cannot be told from a tiny nonzero root; stay undecided
-            outside = RootReport(
-                outside.count,
-                LOWER_BOUND if outside.count else UNDETERMINED,
-                outside.witnesses,
-                outside.precision_consumed,
-                outside.unresolved_classes + 1,
-            )
-        # otherwise 0 is certified not to be a root, and every witness ball
-        # holds one genuine nonzero root already
+    outside = _count_in_region(p, coeffs[::-1], precision, 0, 1, chart="inf")
+    if coeffs[-1] % p ** int(precision) == 0:
+        # the reversed constant term vanishes at precision: a root at
+        # y = 0 cannot be told from a tiny nonzero root; stay undecided
+        outside = RootReport(
+            outside.count,
+            LOWER_BOUND if outside.count else UNDETERMINED,
+            outside.witnesses,
+            outside.precision_consumed,
+            outside.unresolved_classes + 1,
+        )
+    # otherwise 0 is certified not to be a root, and every witness ball
+    # holds one genuine nonzero root already
     return inside.merged_with(outside)
+
+
+def count_roots(p, coeffs, region, precision=None) -> RootReport:
+    """Distinct roots of f = sum coeffs[i] t^i in a region.
+
+    ``region`` is "zp", "qp", "annulus:m" (|t| = p^m) or "p1", where the
+    list is read as a binary form of degree len(coeffs) - 1, so a zero
+    leading coefficient puts a root at [1:0]. ``precision=None`` means
+    exact integers; otherwise every coefficient is a residue mod
+    p^precision.
+    """
+    if region == "zp":
+        return count_roots_zp(p, coeffs, precision)
+    if region == "qp":
+        return count_roots_qp(p, coeffs, precision)
+    if region == "p1":
+        return count_roots_p1(p, list(reversed(coeffs)), precision)
+    if region.startswith("annulus:"):
+        return count_roots_annulus(p, coeffs, int(region[len("annulus:"):]), precision)
+    raise ValueError(f"unknown region {region!r}")
+
+
+def precision_ladder(start):
+    """Precisions start, 2*start, ..., each step min(2m, PRECISION_CAP)."""
+    m = start
+    yield m
+    while m < PRECISION_CAP:
+        m = min(2 * m, PRECISION_CAP)
+        yield m
 
 
 def verify_witness(p, coeffs, witness, precision=None) -> bool:
@@ -371,41 +382,6 @@ def verify_witness(p, coeffs, witness, precision=None) -> bool:
     return v0 >= 1 and v1 == 0
 
 
-@dataclass(frozen=True)
-class UnivariatePoly:
-    """A univariate polynomial over Z_p, readable as a binary form on P^1.
-
-    Coefficients ascend in t (f = sum coeffs[i] t^i). ``precision=None``
-    means exact integers; otherwise all coefficients are residues at that
-    shared absolute precision. The projective reading homogenizes to
-    degree deg(coeffs): the zero [1:0] corresponds to a vanishing leading
-    coefficient.
-    """
-
-    prime: int
-    coeffs: tuple
-    precision: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def count_zp(self) -> RootReport:
-        return count_roots_zp(self.prime, list(self.coeffs), self.precision)
-
-    def count_p1(self) -> RootReport:
-        return count_roots_p1(self.prime, list(reversed(self.coeffs)), self.precision)
-
-    def count_annulus(self, m: int) -> RootReport:
-        return count_roots_annulus(self.prime, list(self.coeffs), m, self.precision)
-
-    def count_qp(self) -> RootReport:
-        return count_roots_qp(self.prime, list(self.coeffs), self.precision)
-
-
 # -- adaptive counting over sampled models -----------------------------------
 
 
@@ -431,58 +407,27 @@ def power_coeffs_from_mahler(zeta, d):
     return [sum(z * basis[k][j] for k, z in enumerate(zeta)) for j in range(d + 1)]
 
 
-def _region_count(p, model_kind, residues, region, precision):
-    from .sample import MAHLER, MONOMIAL
-
-    d = len(residues) - 1
-    if model_kind == MONOMIAL:
-        form = residues
-        if region == "p1":
-            return count_roots_p1(p, form, precision)
-        affine = list(reversed(form))
-        if region == "zp":
-            return count_roots_zp(p, affine, precision)
-        if region == "qp":
-            return count_roots_qp(p, affine, precision)
-        if region.startswith("annulus"):
-            m = int(region.split(":")[1])
-            return count_roots_annulus(p, affine, m, precision)
-    elif model_kind == MAHLER:
-        coeffs = power_coeffs_from_mahler(residues, d)
-        if region == "zp":
-            return count_roots_zp(p, coeffs, precision)
-        if region == "qp":
-            return count_roots_qp(p, coeffs, precision)
-        if region == "p1":
-            form = list(reversed(coeffs))
-            return count_roots_p1(p, form, precision)
-        if region.startswith("annulus"):
-            m = int(region.split(":")[1])
-            return count_roots_annulus(p, coeffs, m, precision)
-    raise ValueError(f"unsupported model/region: {model_kind}/{region}")
-
-
-def adaptive_count(poly, region="p1", cap=ADAPTIVE_PRECISION_CAP) -> RootReport:
+def adaptive_count(poly, region="p1") -> RootReport:
     """Count roots of a sampled polynomial, extending precision until Exact.
 
-    Doubles the coefficient precision up to ``cap`` digits; under the uniform
-    models the event of never certifying has probability zero, and hitting
-    the cap raises CertificationCapExceeded for the caller to record.
+    Climbs the precision ladder from the model's precision to PRECISION_CAP
+    digits; under the uniform models the event of never certifying has
+    probability zero, and hitting the cap raises CertificationCapExceeded
+    for the caller to record.
     """
     model = poly.model
-    m = model.precision
-    while True:
-        report = None
+    for m in precision_ladder(model.precision):
+        residues = poly.residues(m)
+        if model.kind == MAHLER:
+            coeffs = power_coeffs_from_mahler(residues, len(residues) - 1)
+        else:  # a monomial sample is a binary form, F(t, 1) ascends reversed
+            coeffs = residues[::-1]
         try:
-            report = _region_count(
-                model.prime, model.kind, poly.residues(m), region, m
-            )
+            report = count_roots(model.prime, coeffs, region, m)
         except IdenticallyZeroAtPrecision:
-            pass
-        if report is not None and report.status == EXACT:
+            continue
+        if report.status == EXACT:
             return report
-        if m >= cap:
-            raise CertificationCapExceeded(
-                f"no exact count at precision cap {cap} (region {region})"
-            )
-        m = min(2 * m, cap)
+    raise CertificationCapExceeded(
+        f"no exact count at precision cap {PRECISION_CAP} (region {region})"
+    )

@@ -2,7 +2,9 @@
 
 import json
 
+from padicgeo import accept, igf
 from padicgeo.cli import ExperimentConfig, emit_report, main, parse_report
+from padicgeo.roots import RootReport
 
 
 def run_cli(args, capsys):
@@ -35,6 +37,17 @@ class TestRoots:
             capsys,
         )
         assert json.loads(out)["results"]["count"] == 2
+
+    def test_qp_chart(self, capsys):
+        # 9t^2 - 1: both roots +-1/3 lie outside Z_p, on the chart at infinity
+        code, out = run_cli(
+            ["roots", "--coeffs=-1,0,9", "--prime", "3", "--chart", "qp", "--no-files"],
+            capsys,
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["count"] == 2
+        assert [w["chart"] for w in results["witnesses"]] == ["inf", "inf"]
 
 
 class TestCountAndVolume:
@@ -309,3 +322,35 @@ class TestUsageErrors:
         code = main(["roots", "--coeffs", "1,1", "--prime", "3", "--chart", "weird", "--no-files"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_missing_outdir_is_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
+        def refuse(**kwargs):
+            raise RuntimeError("the criteria ran")
+
+        monkeypatch.setattr(accept, "run_all", refuse)
+        missing = tmp_path / "missing"
+        code = main(["reproduce-paper", "--outdir", str(missing), "--only", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not missing.exists()
+
+    def test_degree_bound_violation_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(igf, "count_roots_p1", lambda *args, **kwargs: RootReport(3, "exact"))
+        code = main(
+            [
+                "igf",
+                "--experiment",
+                "curve",
+                "--curve",
+                "veronese",
+                "--degree",
+                "2",
+                "--prime",
+                "3",
+                "--samples",
+                "5",
+                "--no-files",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")

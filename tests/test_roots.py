@@ -9,11 +9,14 @@ import pytest
 from padicgeo.errors import IdenticallyZeroAtPrecision
 from padicgeo.roots import (
     EXACT,
+    count_roots,
     count_roots_annulus,
     count_roots_p1,
     count_roots_qp,
     count_roots_zp,
     mahler_power_basis,
+    precision_ladder,
+    squarefree_part,
     verify_witness,
 )
 from padicgeo.zp import vp_int
@@ -306,3 +309,69 @@ def test_mahler_power_basis_values():
         for t in range(0, 8):
             val = sum(c * t**j for j, c in enumerate(basis[k]))
             assert val == fact * math.comb(t, k)
+
+
+def test_squarefree_part_is_primitive():
+    assert squarefree_part([0, 5]) == [0, 1]
+    assert squarefree_part([0, 0, 5]) == [0, 1]
+    assert squarefree_part([10, 0, -20]) == [1, 0, -2]
+    # p-content no longer shows in the precision a count consumes
+    assert count_roots_zp(5, [0, 5]).precision_consumed == 0
+    assert count_roots_zp(5, [0, 0, 5]).precision_consumed == 0
+
+
+# --- the region entry point and the precision ladder --------------------------
+
+ENTRY_CASES = [
+    (5, [-1, 0, 1]),
+    (3, [-1, 0, 9]),
+    (3, [0, 0, 3, 27]),
+    (2, [4, -6, 2, 8]),
+    (5, [25, 0, -5, 0, 1]),
+    (3, [2, 1, 0]),  # zero leading coefficient: a root at [1:0] on P^1
+]
+
+
+@pytest.mark.parametrize("precision", [None, 8])
+@pytest.mark.parametrize("p, coeffs", ENTRY_CASES)
+def test_count_roots_matches_each_region_counter(p, coeffs, precision):
+    assert count_roots(p, coeffs, "zp", precision) == count_roots_zp(p, coeffs, precision)
+    assert count_roots(p, coeffs, "qp", precision) == count_roots_qp(p, coeffs, precision)
+    assert count_roots(p, coeffs, "p1", precision) == count_roots_p1(
+        p, coeffs[::-1], precision
+    )
+    for m in (1, 2):
+        assert count_roots(p, coeffs, f"annulus:{m}", precision) == count_roots_annulus(
+            p, coeffs, m, precision
+        )
+
+
+@pytest.mark.parametrize("region", ["affine", "ZP", "annulus", "annulus:x", ""])
+def test_count_roots_rejects_an_unknown_region(region):
+    with pytest.raises(ValueError):
+        count_roots(3, [-1, 0, 1], region)
+
+
+def test_precision_ladder_doubles_up_to_the_cap():
+    assert list(precision_ladder(8)) == [8, 16, 32, 64]
+    assert list(precision_ladder(12)) == [12, 24, 48, 64]
+    assert list(precision_ladder(64)) == [64]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_qp_is_zp_plus_the_annuli_out_to_the_leading_valuation(p):
+    # Newton polygon: with integer coefficients no root has |x| > p^v_p(lead)
+    rng = random.Random(700 + p)
+    outside = 0
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        lead = rng.choice([1, -1, 2, 7]) * p ** rng.randint(0, 4)
+        coeffs = [rng.randint(-30, 30) for _ in range(d)] + [lead]
+        parts = [count_roots_zp(p, coeffs)] + [
+            count_roots_annulus(p, coeffs, m) for m in range(1, vp_int(lead, p) + 1)
+        ]
+        total = count_roots_qp(p, coeffs)
+        assert total.status == EXACT and all(r.status == EXACT for r in parts)
+        assert total.count == sum(r.count for r in parts), (p, coeffs)
+        outside += total.count - parts[0].count
+    assert outside > 0
