@@ -135,13 +135,13 @@ def _volume_results(est: countvol.VolumeEstimate) -> dict:
 
 def _cmd_count(args) -> int:
     xset = _build_set(args)
-    res = countvol.count_points_mod(xset, args.prime, args.level)
     try:
         est = countvol.estimate_volume(xset, args.prime, args.level)
         stabilized = True
     except NotStabilized as exc:
         est = exc.estimate
         stabilized = False
+    res = est.counts[-1]
     config = ExperimentConfig(
         "count",
         {
@@ -169,7 +169,7 @@ def _cmd_count(args) -> int:
     }
     text = emit_report(config, results, _out_path(args, "count"))
     print(text, end="")
-    if args.csv:
+    if args.csv and not args.no_files:
         _write_csv(
             os.path.join(args.outdir, args.csv),
             ["m", "n_lo", "n_hi"],

@@ -193,7 +193,12 @@ class VolumeEstimate:
     stabilization_level: int | None
     dim: int
     prime: int
-    sequence: list  # (m, N_lo, N_hi) triples
+    counts: list  # the CountResult of each level 1..max
+
+    @property
+    def sequence(self) -> list:
+        """(m, N_lo, N_hi) triples, one per level."""
+        return [(c.level, c.n_lo, c.n_hi) for c in self.counts]
 
     @property
     def stabilized(self) -> bool:
@@ -441,7 +446,6 @@ def estimate_volume(
     k = xset.dim
     tree = build_tree(xset, p, max_level, cfg)
     seq = [tree.count(m) for m in range(1, max_level + 1)]
-    sequence = [(c.level, c.n_lo, c.n_hi) for c in seq]
     m0 = None
     for c in seq:
         if c.exact and tree.stabilized_at(c.level):
@@ -453,7 +457,7 @@ def estimate_volume(
         interval = (last.n_lo * scale, last.n_hi * scale)
         raise NotStabilized(
             f"counts not stabilized by level {max_level}",
-            estimate=VolumeEstimate(None, interval, None, k, p, sequence),
+            estimate=VolumeEstimate(None, interval, None, k, p, seq),
         )
     base = seq[m0 - 1]
     # the tower law must hold exactly on every deeper computed level
@@ -464,7 +468,7 @@ def estimate_volume(
                 f"level {m0}; claimed dimension {k} looks wrong"
             )
     value = Fraction(base.n_lo, p ** (m0 * k))
-    return VolumeEstimate(value, (value, value), m0, k, p, sequence)
+    return VolumeEstimate(value, (value, value), m0, k, p, seq)
 
 
 def weil_special_case(xset: AlgebraicSet, p: int, config: CountConfig | None = None) -> Fraction:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import CertificationCapExceeded, ConsistencyError, IdenticallyZeroAtPrecision
 from .sample import MAHLER
@@ -101,46 +100,44 @@ def poly_derivative(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    out = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = num[:]
-    for i in reversed(range(len(out))):
-        f = rem[i + len(den) - 1] / den[-1]
-        out[i] = f
-        if f:
-            for j, d in enumerate(den):
-                rem[i + j] -= f * d
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return out, rem
+def _primitive(coeffs):
+    """coeffs divided by their content, the gcd of the entries."""
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs] if content else list(coeffs)
 
 
-def _poly_gcd(a, b):
-    a = [Fraction(c) for c in trim(a)]
-    b = [Fraction(c) for c in trim(b)]
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, trim(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _pseudo_divmod(num, den):
+    """(q, r) with lead(den)^k * num = q * den + r over Z, k = deg num - deg den + 1."""
+    n = len(den) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(num) - n)
+    for i in reversed(range(len(quot))):
+        f = rem[i + n]
+        quot = [den[-1] * c for c in quot]
+        quot[i] = f
+        rem = [den[-1] * c for c in rem]
+        for j, c in enumerate(den):
+            rem[i + j] -= f * c
+    return quot, trim(rem)
 
 
 def squarefree_part(coeffs):
-    """f / gcd(f, f') with integer primitive output (exact coefficients)."""
+    """f / gcd(f, f'), primitive, with the sign of f's leading coefficient.
+
+    gcd(f, f') is the last nonzero term of the primitive remainder sequence
+    of f and f', so every step stays in Z.
+    """
     coeffs = trim(coeffs)
-    g = _poly_gcd(coeffs, poly_derivative(coeffs)) if len(coeffs) > 1 else []
-    if len(g) > 1:
-        q, r = _poly_divmod(coeffs, g)
-        if r:
-            raise ConsistencyError("gcd(f, f') does not divide f")
-        den_lcm = math.lcm(*[c.denominator for c in q])
-        coeffs = [int(c * den_lcm) for c in q]
-    content = math.gcd(*coeffs)
-    return [c // content for c in coeffs] if content else coeffs
+    if len(coeffs) > 1:
+        a, b = _primitive(coeffs), _primitive(poly_derivative(coeffs))
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        if len(a) > 1:
+            g = a if a[-1] > 0 else [-c for c in a]
+            coeffs, r = _pseudo_divmod(coeffs, g)
+            if r:
+                raise ConsistencyError("gcd(f, f') does not divide f")
+    return _primitive(coeffs)
 
 
 def substitute_digit(coeffs, a, p, shift=1, mod=None):

@@ -2,7 +2,7 @@
 
 import json
 
-from padicgeo import accept, igf
+from padicgeo import accept, countvol, igf
 from padicgeo.cli import ExperimentConfig, emit_report, main, parse_report
 from padicgeo.roots import RootReport
 
@@ -80,6 +80,30 @@ class TestCountAndVolume:
         assert seq[0] == "m,n_lo,n_hi"
         assert seq[1:] == ["1,4,4", "2,12,12", "3,36,36"]
         assert (tmp_path / "report-count.json").exists()
+
+    def test_count_builds_its_tree_once(self, capsys, monkeypatch):
+        calls = []
+        build = countvol.build_tree
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(countvol, "build_tree", counting)
+        args = ["count", "--gens", "x0*x2-x1^2", "--prime", "3", "--level", "3"]
+        code, out = run_cli(args + ["--dim", "1", "--degree", "2", "--no-files"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["count"]["n_lo"] == 36
+        assert len(calls) == 1
+
+    def test_no_files_writes_no_csv(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        args = ["count", "--gens", "x0*x1", "--prime", "3", "--level", "2", "--dim", "1"]
+        code, _ = run_cli(
+            args + ["--no-files", "--outdir", str(missing), "--csv", "seq.csv"], capsys
+        )
+        assert code == 0
+        assert not missing.exists() and list(tmp_path.iterdir()) == []
 
     def test_volume_degree_bound(self, capsys):
         code, out = run_cli(

@@ -320,6 +320,31 @@ def test_squarefree_part_is_primitive():
     assert count_roots_zp(5, [0, 0, 5]).precision_consumed == 0
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_squarefree_part_matches_the_rational_oracle():
+    """f g^2 over Z: the oracle's f / gcd(f, f') up to sign, with f g^2's sign."""
+    rng = random.Random(2024)
+    for i in range(2000):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice([-3, -1, 1, 2])]
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.choice([-2, -1, 1, 3])]
+        if i % 3 == 1:
+            f = [0] + f  # t divides f
+        if i % 3 == 2:
+            f = [rng.choice([2, 6, -10]) * c for c in f]  # content
+        fg2 = _poly_mul(f, _poly_mul(g, g))
+        sf = squarefree_part(fg2)
+        oracle = _oracle_squarefree(fg2)
+        assert sf in (oracle, [-c for c in oracle]), fg2
+        assert (sf[-1] > 0) == (fg2[-1] > 0)
+
+
 # --- the region entry point and the precision ladder --------------------------
 
 ENTRY_CASES = [

@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 
+import math
+import random
+
 import pytest
 
 from padicgeo.errors import DomainViolation, NonConstantJacobian
+from padicgeo.roots import mahler_power_basis
 from padicgeo.proj import ProjPoint
 from padicgeo.sample import Stream
 from padicgeo.veronese import (
@@ -12,7 +16,8 @@ from padicgeo.veronese import (
     STANDARD,
     VeroneseMap,
     arc_length,
-    binomial_rational,
+    binomial_derivatives,
+    binomials,
     eval_mahler_affine,
     eval_mahler_extended,
     eval_standard,
@@ -26,7 +31,7 @@ from padicgeo.veronese import (
     mahler_outside_volume,
     monomial_exponents,
 )
-from padicgeo.zp import vp_fraction
+from padicgeo.zp import vp_fraction, vp_int
 
 
 class TestEvaluation:
@@ -119,10 +124,39 @@ class TestJacobianNorms:
             for unit in [u for u in range(1, 3 * p) if u % p != 0][:4]:
                 t = Fraction(unit, p**mexp)
                 norms = [
-                    Fraction(p) ** (-vp_fraction(binomial_rational(t, k), p))
+                    Fraction(p) ** (-vp_fraction(binomials(t, k)[k], p))
                     for k in range(d + 1)
                 ]
                 assert all(a < b for a, b in zip(norms, norms[1:]))
+
+
+class TestBinomialRecurrences:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_derivatives_match_the_power_basis(self, p):
+        """D_k(t) equals the derivative of row k of d! C(t,k), over d!."""
+        rng = random.Random(p)
+        for d in range(26):
+            rows = mahler_power_basis(d)
+            unit = rng.choice([u for u in range(1, 5 * p) if u % p])
+            for t in (rng.randrange(-(p**6), p**6), Fraction(rng.randrange(p**6), unit)):
+                fact = math.factorial(d)
+                assert binomial_derivatives(t, d) == [
+                    Fraction(sum(j * c * t ** (j - 1) for j, c in enumerate(row) if j), fact)
+                    for row in rows
+                ]
+                assert binomials(t, d) == [
+                    Fraction(sum(c * t**j for j, c in enumerate(row)), fact) for row in rows
+                ]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_extended_norm_is_d_over_p_to_2m(self, p):
+        units = [u for u in range(1, 3 * p) if u % p][:3]
+        for d in range(1, 13):
+            for m in (1, 2, 3):
+                for u in units:
+                    assert mahler_extended_jacobian_norm(p, d, Fraction(u, p**m)) == (
+                        Fraction(p) ** (-vp_int(d, p) - 2 * m)
+                    )
 
 
 class TestArcLength:
@@ -171,7 +205,7 @@ def affine_image_count(p, d, m):
     q = p**m
     seen = set()
     for t in range(p**depth):
-        vec = tuple(int(binomial_rational(t, k)) % q for k in range(d + 1))
+        vec = tuple(int(binomials(t, k)[k]) % q for k in range(d + 1))
         seen.add(vec)
     return len(seen)
 
