@@ -288,12 +288,19 @@ def _oracle_root_count(coeffs, p, budget=400_000):
     k = 2 * v + 3
     if p**k > budget:
         return None
-    labels = set()
-    for r in range(p**k):
-        fr = sum(c * r**i for i, c in enumerate(sf))
-        if vp_int(fr, p) >= k:
-            labels.add(r % p ** (k - v))
-    return len(labels)
+    # f(r) mod p^j depends only on r mod p^j, so the residues r mod p^k with
+    # f(r) = 0 mod p^k are exactly the digit-by-digit extensions that vanish
+    # at every prefix
+    zeros = [0]
+    for j in range(k):
+        q = p ** (j + 1)
+        zeros = [
+            r
+            for r0 in zeros
+            for r in range(r0, q, p**j)
+            if sum(c * r**i for i, c in enumerate(sf)) % q == 0
+        ]
+    return len({r % p ** (k - v) for r in zeros})
 
 
 def _resultant(f, g):

@@ -1,12 +1,21 @@
 """Certified point counts N_m(X) for projective algebraic sets and volumes.
 
-Classes of P^n(Z/p^m) are grown level by level: a class survives only while
-every generator vanishes at the class modulus (necessary to meet X), and a
-class is CONFIRMED to contain a point of X once some surviving descendant
-at level l' has a Jacobian minor of valuation w with 2w < l' and l' >= m + w;
-the quantitative lifting lemma then places an actual zero inside the level-m
-ball. Classes whose whole subtree dies are certified empty. Everything else
-contributes [0, 1] to the reported interval.
+Classes of P^n(Z/p^m) are grown level by level up to the requested level m:
+a class survives only while every generator vanishes at the class modulus
+(necessary to meet X). A class is CONFIRMED to contain a point of X once
+some surviving descendant at level l' has a Jacobian minor of valuation w
+with 2w < l' and l' >= m + w; the quantitative lifting lemma then places an
+actual zero inside the level-m ball.
+
+Below level m the tree is grown only on demand: each level-m class still of
+unknown content is searched best-first for its first certifying descendant,
+at most ``extra_levels`` levels deeper. A descendant's centre agrees with its
+ancestor's centre mod p^level, so its Jacobian valuation is at least
+min(w, level) of the ancestor; on that key the first certifying node popped
+has the least valuation in the subtree, which is the root_w that growing the
+whole subtree would record. A class whose subtree dies within the cap is
+certified empty; one that can no longer be certified within the cap but
+survives to it contributes [0, 1] to the reported interval.
 
 Once every surviving class at a level m0 is confirmed with margin
 m0 >= 2w, the count grows exactly by p^k per level and the volume
@@ -15,6 +24,7 @@ N_{m0} / p^{m0 k} is exact.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -241,7 +251,8 @@ class _Node:
 
 
 class _LiftingTree:
-    """Level-by-level lifting of P^n(F_p) classes along the generators."""
+    """Lifting of P^n(F_p) classes along the generators: level by level up
+    to the requested level, on demand below it (see ``resolve``)."""
 
     def __init__(self, xset: AlgebraicSet, p: int, config: CountConfig):
         self.x = xset
@@ -289,6 +300,16 @@ class _LiftingTree:
                         return 0
         return best
 
+    def _root_target(self, node):
+        """Level of the ancestor in which ``node`` certifies a zero, or None.
+
+        A surviving class whose Jacobian valuation w satisfies 2w < level
+        pins a zero of X within p^-(level - w) of its center."""
+        w = node.w
+        if w != INF and 2 * w < node.level and len(self.gens) == self.r:
+            return max(1, node.level - int(w))
+        return None
+
     def _add_node(self, coords, level, lead, parent):
         if self.node_count >= self.cfg.class_budget:
             raise BudgetExceeded("class budget exhausted during lifting")
@@ -298,10 +319,8 @@ class _LiftingTree:
         self.node_count += 1
         if parent is not None:
             parent.children.append(node)
-        # a surviving class whose Jacobian valuation w satisfies 2w < level
-        # pins a zero of X within p^-(level - w) of its center
-        if w != INF and 2 * w < level and len(self.gens) == self.r:
-            target = max(1, level - int(w))
+        target = self._root_target(node)
+        if target is not None:
             anc = node
             while anc.level > target:
                 anc = anc.parent
@@ -313,25 +332,72 @@ class _LiftingTree:
     def depth(self) -> int:
         return len(self.levels) - 1
 
+    def _grow(self, node):
+        """Add the classes one level below ``node`` on which X may lie."""
+        p, level = self.p, node.level
+        if len(self.levels) == level + 1:
+            self.levels.append({})
+        node.expanded = True
+        step = p**level
+        free = [i for i in range(self.n + 1) if i != node.lead]
+        for digits in itertools.product(range(p), repeat=self.n):
+            coords = list(node.coords)
+            for i, d in zip(free, digits):
+                coords[i] += step * d
+            coords = tuple(coords)
+            if self._vanishes(coords, level + 1):
+                self._add_node(coords, level + 1, node.lead, node)
+
     def expand(self):
         """Grow the tree one level deeper; settled subtrees are pruned since
         their counts below are already exact (p^k children per level)."""
-        p, n = self.p, self.n
         level = self.depth
         self.levels.append({})
-        step = p**level
         for node in self.levels[level].values():
             if self.cfg.prune and (node.settled or node.pruned):
                 continue
-            node.expanded = True
-            free = [i for i in range(n + 1) if i != node.lead]
-            for digits in itertools.product(range(p), repeat=n):
-                coords = list(node.coords)
-                for i, d in zip(free, digits):
-                    coords[i] += step * d
-                coords = tuple(coords)
-                if self._vanishes(coords, level + 1):
-                    self._add_node(coords, level + 1, node.lead, node)
+            self._grow(node)
+
+    def resolve(self, cls, cap: int):
+        """Search below the class ``cls`` for its first certifying descendant.
+
+        Best-first on (min(w, level), deeper first): min(w, level) bounds the
+        Jacobian valuation of every descendant, so the first certifying node
+        popped has the least valuation below ``cls``. Once the least key k
+        can certify only at a level max(2k + 1, m + k) beyond ``cap``, with m
+        the level of ``cls``, the class stays unknown if some descendant
+        reaches ``cap`` and is empty otherwise, so the rest of the search
+        only looks for such a path."""
+        m = cls.level
+        order = itertools.count()
+        heap = [(0, 0, next(order), cls)]
+        while heap:
+            key, _, _, node = heapq.heappop(heap)
+            if max(2 * key + 1, m + key) > cap:
+                self._reach([node] + [entry[-1] for entry in heap], cap)
+                return
+            target = self._root_target(node)
+            if target is not None and target >= m:
+                return
+            if node.level < cap:
+                self._grow(node)
+                for child in node.children:
+                    entry = (min(child.w, child.level), -child.level, next(order), child)
+                    heapq.heappush(heap, entry)
+
+    def _reach(self, stack, cap: int):
+        """Grow depth-first from ``stack`` until some node reaches ``cap``.
+
+        Certificates for classes above the searched one come only from
+        subtrees of one Jacobian valuation w, where a node's target level
+        L - w depends on its level alone, so one path to ``cap`` hands out
+        the same ones as the whole subtree."""
+        while stack:
+            node = stack.pop()
+            if node.level >= cap:
+                return
+            self._grow(node)
+            stack.extend(node.children)
 
     def finalize(self):
         """Propagate certificates upward, pruning downward, aliveness upward."""
@@ -366,19 +432,6 @@ class _LiftingTree:
                 yield "class", node
             elif node.level < m:
                 stack.extend(node.children)
-
-    def unresolved_below(self, m: int) -> bool:
-        """Is any class at level <= m still of unknown content?"""
-        stack = list(self.levels[1].values())
-        while stack:
-            node = stack.pop()
-            if not node.alive or node.settled:
-                continue
-            if not node.has_root:
-                return True
-            if node.level < m:
-                stack.extend(node.children)
-        return False
 
     def count(self, m: int) -> CountResult:
         if m > self.depth:
@@ -416,17 +469,17 @@ class _LiftingTree:
 
 
 def build_tree(xset: AlgebraicSet, p: int, level: int, config: CountConfig | None = None) -> _LiftingTree:
-    """Grow a lifting tree deep enough to resolve classes up to ``level``."""
+    """Lift every class to ``level``, then search below each class of unknown
+    content for a certificate, at most ``extra_levels`` levels deeper."""
     cfg = config or CountConfig()
     tree = _LiftingTree(xset, p, cfg)
     while tree.depth < level:
         tree.expand()
     tree.finalize()
-    extra = 0
-    while tree.unresolved_below(level) and extra < cfg.extra_levels:
-        tree.expand()
-        tree.finalize()
-        extra += 1
+    unresolved = [n for kind, n in tree._walk(level) if kind == "class" and not n.has_root]
+    for cls in unresolved:
+        tree.resolve(cls, level + cfg.extra_levels)
+    tree.finalize()
     return tree
 
 

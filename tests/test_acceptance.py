@@ -6,12 +6,15 @@ everything else is exact with zero tolerance. One pass/fail line prints
 per criterion. The same suite backs `padicgeo reproduce-paper`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from padicgeo import igf
+from padicgeo import accept, igf
 from padicgeo.accept import CRITERIA, run_criterion
+from padicgeo.roots import poly_derivative, squarefree_part
+from padicgeo.zp import vp_int
 
 SEED = 42
 
@@ -49,3 +52,38 @@ def test_wrong_target_fails_its_criterion(monkeypatch):
     assert run_criterion(9, seed=SEED).passed
     monkeypatch.setattr(igf, "mc_igf_curve", estimator(lambda p, curve, d: Fraction(2)))
     assert not run_criterion(9, seed=SEED).passed
+
+
+def _enumeration_oracle(coeffs, p, budget=400_000):
+    """Criterion 12's oracle evaluating the squarefree part at all p^k residues."""
+    sf = squarefree_part(coeffs)
+    if len(sf) <= 1:
+        return 0 if sf else None
+    deriv = poly_derivative(sf)
+    res = accept._resultant(sf, deriv)
+    if res == 0:
+        return None
+    v = vp_int(res, p)
+    k = 2 * v + 3
+    if p**k > budget:
+        return None
+    labels = set()
+    for r in range(p**k):
+        fr = sum(c * r**i for i, c in enumerate(sf))
+        if vp_int(fr, p) >= k:
+            labels.add(r % p ** (k - v))
+    return len(labels)
+
+
+def test_prefix_oracle_matches_the_full_enumeration():
+    """Criterion 12's case generator at the acceptance seed, 3000 decided cases."""
+    rng = random.Random(SEED)
+    cases = 0
+    while cases < 3000:
+        p = (2, 3, 5)[cases % 3]
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4) + 1)]
+        if not any(coeffs):
+            continue
+        expected = _enumeration_oracle(coeffs, p)
+        assert accept._oracle_root_count(coeffs, p) == expected
+        cases += expected is not None

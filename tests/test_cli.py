@@ -5,6 +5,7 @@ import json
 from padicgeo import accept, countvol, igf
 from padicgeo.cli import ExperimentConfig, emit_report, main, parse_report
 from padicgeo.roots import RootReport
+from test_countvol import _full_build
 
 
 def run_cli(args, capsys):
@@ -95,6 +96,15 @@ class TestCountAndVolume:
         assert code == 0
         assert json.loads(out)["results"]["count"]["n_lo"] == 36
         assert len(calls) == 1
+
+    def test_count_report_matches_the_full_build(self, capsys, monkeypatch):
+        args = ["count", "--gens", "x0*x1", "--prime", "5", "--level", "3"]
+        args += ["--dim", "1", "--degree", "2", "--no-files"]
+        code, out = run_cli(args, capsys)
+        monkeypatch.setattr(countvol, "build_tree", _full_build)
+        ref_code, ref = run_cli(args, capsys)
+        assert code == ref_code == 0
+        assert out == ref
 
     def test_no_files_writes_no_csv(self, capsys, tmp_path):
         missing = tmp_path / "missing"

@@ -9,6 +9,7 @@ from padicgeo.countvol import (
     AlgebraicSet,
     CountConfig,
     HomogPoly,
+    _LiftingTree,
     build_tree,
     check_degree_bound,
     count_points_mod,
@@ -17,7 +18,7 @@ from padicgeo.countvol import (
     weil_special_case,
 )
 from padicgeo.errors import BudgetExceeded, NotSmoothModP, NotStabilized
-from padicgeo.proj import enumerate_proj, volume_proj_space
+from padicgeo.proj import enumerate_proj, proj_space_count, volume_proj_space
 from padicgeo.roots import count_roots_p1
 
 CONIC = AlgebraicSet.from_strings(2, ["x0*x2 - x1^2"], dim=1, degree=2)
@@ -27,6 +28,45 @@ TWO_POINTS = AlgebraicSet.from_strings(2, ["x2", "x0*x1"], dim=0, degree=2)
 NODAL_CUBIC = AlgebraicSet.from_strings(
     2, ["x2*x1^2 - x0^3 - x0^2*x2"], dim=1, degree=3
 )
+CUSP = AlgebraicSet.from_strings(2, ["x1^2*x2 - x0^3"], dim=1, degree=3)
+# (generator, ascending coefficients, prime) of binary forms on P^1
+BINARY_FORMS = [
+    ("x0^2 - x1^2", [1, 0, -1], 5),
+    ("x0*x1", [0, 1, 0], 3),
+    ("x0^2 - 6*x0*x1 - 27*x1^2", [1, -6, -27], 3),
+    ("x0^3 - x0*x1^2", [1, 0, -1, 0], 5),
+]
+
+
+def _unresolved_below(tree, m):
+    """Is any class at level <= m still of unknown content?"""
+    stack = list(tree.levels[1].values())
+    while stack:
+        node = stack.pop()
+        if not node.alive or node.settled:
+            continue
+        if not node.has_root:
+            return True
+        if node.level < m:
+            stack.extend(node.children)
+    return False
+
+
+def _full_build(xset, p, level, config=None):
+    """Reference lifting: grow the whole tree one level at a time until no
+    class at level <= ``level`` is of unknown content, at most
+    ``extra_levels`` levels past ``level``."""
+    cfg = config or CountConfig()
+    tree = _LiftingTree(xset, p, cfg)
+    while tree.depth < level:
+        tree.expand()
+    tree.finalize()
+    extra = 0
+    while _unresolved_below(tree, level) and extra < cfg.extra_levels:
+        tree.expand()
+        tree.finalize()
+        extra += 1
+    return tree
 
 
 def enumeration_oracle(xset, p, m):
@@ -138,15 +178,7 @@ class TestStabilization:
 
 
 class TestRootsModuleAgreement:
-    @pytest.mark.parametrize(
-        "gen,form,p",
-        [
-            ("x0^2 - x1^2", [1, 0, -1], 5),
-            ("x0*x1", [0, 1, 0], 3),
-            ("x0^2 - 6*x0*x1 - 27*x1^2", [1, -6, -27], 3),
-            ("x0^3 - x0*x1^2", [1, 0, -1, 0], 5),
-        ],
-    )
+    @pytest.mark.parametrize("gen,form,p", BINARY_FORMS)
     def test_binary_form_counts(self, gen, form, p):
         x = AlgebraicSet.from_strings(1, [gen], dim=0, degree=len(form) - 1)
         est = estimate_volume(x, p, 4)
@@ -215,10 +247,73 @@ class TestSmoothLocus:
         assert exc.value.estimate.sequence[-1] == (3, 149, 149)
 
 
+SINGULAR = {"two-lines": TWO_LINES, "nodal": NODAL_CUBIC, "cusp": CUSP}
+GATE_SETS = {
+    "conic": CONIC,
+    "line": LINE,
+    **SINGULAR,
+    "two-points": TWO_POINTS,
+    **{gen: AlgebraicSet.from_strings(1, [gen], dim=0) for gen, _, _ in BINARY_FORMS},
+}
+
+
+class TestDemandDrivenLifting:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", list(GATE_SETS))
+    def test_matches_the_full_build(self, name, p):
+        xset = GATE_SETS[name]
+        top = 2 if name in SINGULAR and p == 5 else 3
+        # the full cusp tree at p >= 3 runs into 10^5-10^6 nodes before the
+        # default cap; a lower cap keeps the reference cheap and still leaves
+        # classes unknown at the cap
+        cfg = CountConfig(extra_levels=3) if xset is CUSP and p > 2 else CountConfig()
+        for m in range(1, top + 1):
+            tree, ref = build_tree(xset, p, m, cfg), _full_build(xset, p, m, cfg)
+            for level in range(1, m + 1):
+                assert tree.count(level) == ref.count(level)
+                assert tree.stabilized_at(level) == ref.stabilized_at(level)
+
+    def test_node_counts(self):
+        assert build_tree(TWO_LINES, 5, 3).node_count < 2_000
+        assert build_tree(NODAL_CUBIC, 3, 3).node_count < 1_000
+
+
+def _frozen_count(name, p, m):
+    """N_m where its closed form is frozen, else None."""
+    if name == "two-lines":
+        return 2 * (p**m + p ** (m - 1)) - 1
+    if name == "nodal" and p == 3:
+        return 4 * 3 ** (m - 1) - 1
+    return None
+
+
+class TestOesterleBound:
+    @pytest.mark.parametrize(
+        "name,p",
+        [("two-lines", 2), ("two-lines", 3), ("two-lines", 5), ("nodal", 2), ("nodal", 3), ("cusp", 2)],
+    )
+    def test_counts_stay_below_degree_times_projective_count(self, name, p):
+        xset = SINGULAR[name]
+        tree = build_tree(xset, p, 4)
+        for m in range(1, 5):
+            res = tree.count(m)
+            assert res.n_hi <= xset.degree * proj_space_count(p, xset.dim, m)
+            n = _frozen_count(name, p, m)
+            if n is not None:
+                assert (res.n_lo, res.n_hi) == (n, n)
+
+
 class TestBudgets:
     def test_class_budget(self):
         with pytest.raises(BudgetExceeded):
             count_points_mod(CONIC, 3, 3, CountConfig(class_budget=5))
+
+    def test_search_fits_where_the_full_tree_does_not(self):
+        tacnode = AlgebraicSet.from_strings(2, ["x1^2*x2^2 - x0^4"], dim=1)
+        cfg = CountConfig(class_budget=1_000)
+        with pytest.raises(BudgetExceeded):
+            _full_build(tacnode, 2, 2, cfg)
+        assert build_tree(tacnode, 2, 2, cfg).count(2) == _full_build(tacnode, 2, 2).count(2)
 
     def test_homogpoly_validation(self):
         with pytest.raises(ValueError):
