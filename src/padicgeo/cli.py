@@ -3,7 +3,9 @@
 Reports are bit-stable: keys are sorted, exact rationals appear as
 {"num": ..., "den": ...} integer pairs, statistical quantities are decimal
 strings with 12 significant digits, and no wall-clock values are written.
-The full experiment configuration is embedded verbatim in every report.
+The full experiment configuration is embedded verbatim in every report,
+together with the stream format (``sample.STREAM_FORMAT``) that fixes what a
+seed draws.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import accept, countvol, igf, roots, veronese
 from .errors import NotStabilized, PadicError
-from .sample import RandomPolyModel, Stream
+from .sample import STREAM_FORMAT, RandomPolyModel, Stream
 
 
 @dataclass
@@ -29,7 +31,11 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "params": dict(self.params)}
+        return {
+            "subcommand": self.subcommand,
+            "params": dict(self.params),
+            "stream_format": STREAM_FORMAT,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -1,14 +1,32 @@
 """Seeded randomness: digit streams, Haar matrices, random polynomial models.
 
-Randomness is counter based: every drawn quantity is a pure function of
-(seed, derivation path, counter), produced by a keyed BLAKE2b PRF. Digits
-of any coefficient are addressable independently, so extending the
-precision of a sampled object never resamples digits already emitted.
-Streams are value-like; deriving a child never mutates the parent.
+Randomness is counter based, in the style of Random123 (Salmon et al.,
+SC'11): every drawn quantity is a pure function of (seed, derivation path,
+counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
+
+- A seed in [0, 2^64) keys a 32-byte stream key. ``Stream.child(*labels)``
+  keys a child with BLAKE2b over an injective encoding of the labels: each
+  label carries a type tag, strings and tuples a length, so ``child("a/b")``,
+  ``child("a", "b")``, ``child(1)`` and ``child("1")`` are four streams.
+- Block b of a stream is the keyed 64-byte (512-bit) BLAKE2b digest of
+  (b, attempt), read little-endian, for attempt = 0, 1, ... until the value
+  falls below the largest multiple of n that fits in 2^512; the accepted
+  value mod n is uniform on [0, n). ``Stream.below(n, counter)`` is block
+  ``counter`` taken mod n.
+- A base-p digit stream takes n = p^k, with k the largest integer such that
+  p^(k+1) <= 2^512 (k = 322 at p = 3, 511 at p = 2), so a block is rejected
+  with probability below 1/p. Block b gives digits b*k ... b*k + k - 1,
+  least significant first.
+
+Digits are addressable: digit i depends only on (key, i // k), so reading
+digits in any order, or extending the precision of a sampled object, never
+resamples digits already drawn. Streams are value-like; deriving a child
+never mutates the parent.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -16,14 +34,54 @@ from dataclasses import dataclass, field
 from . import linalg
 from .zp import DEFAULT_PRECISION, PadicMatrix, PadicScalar
 
-_BLOCK = 8  # bytes of PRF output consumed per draw
+STREAM_FORMAT = 2  # recorded in every report config
+_BLOCK_BITS = 512
+_pack_counter = struct.Struct("<QQ").pack
 
 
-def _prf(key: bytes, counter: int, tweak: int) -> int:
-    h = hashlib.blake2b(
-        struct.pack("<qq", counter, tweak), key=key, digest_size=_BLOCK
-    )
-    return int.from_bytes(h.digest(), "little")
+def _block(key: bytes, counter: int, n: int, limit: int) -> int:
+    """Block ``counter`` of the stream keyed by ``key``, uniform on [0, n).
+
+    ``limit`` is the largest multiple of n that fits in 2^512; a digest at
+    or above it is rejected and the next attempt is hashed.
+    """
+    attempt = 0
+    while True:
+        r = int.from_bytes(
+            hashlib.blake2b(_pack_counter(counter, attempt), key=key, digest_size=64).digest(),
+            "little",
+        )
+        if r < limit:
+            return r % n
+        attempt += 1
+
+
+@functools.cache
+def _layout(p: int):
+    """(k, p^k, limit) of a base-p digit stream: k digits per block."""
+    if p < 2 or p * p > 2**_BLOCK_BITS:
+        raise ValueError(f"digit base {p} must lie in [2, 2^256]")
+    k, q = 1, p
+    while q * p * p <= 2**_BLOCK_BITS:
+        k, q = k + 1, q * p
+    return k, q, (2**_BLOCK_BITS // q) * q
+
+
+def _encode_labels(labels) -> bytes:
+    """Type-tagged, length-prefixed labels: an injective, prefix-free code."""
+    parts = []
+    for label in labels:
+        kind = type(label)
+        if kind is int:
+            parts.append(b"i%d;" % label)
+        elif kind is str:
+            data = label.encode()
+            parts.append(b"s%d:%b" % (len(data), data))
+        elif kind is tuple:
+            parts.append(b"t%d:%b" % (len(label), _encode_labels(label)))
+        else:
+            raise TypeError(f"stream label {label!r} is not a str, int or tuple")
+    return b"".join(parts)
 
 
 class Stream:
@@ -35,26 +93,21 @@ class Stream:
         if key is not None:
             self.key = key
         else:
-            seed = int(seed) & (2**64 - 1)
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"seed {seed} is outside [0, 2^64)")
             self.key = hashlib.blake2b(
                 struct.pack("<Q", seed), key=b"padicgeo", digest_size=32
             ).digest()
 
     def child(self, *labels) -> "Stream":
-        data = b"/".join(str(l).encode() for l in labels)
+        data = _encode_labels(labels)
         return Stream(None, key=hashlib.blake2b(data, key=self.key, digest_size=32).digest())
 
     def below(self, n: int, counter: int = 0) -> int:
-        """Exactly uniform integer in [0, n), by rejection on 64-bit blocks."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = (2**64 // n) * n
-        attempt = 0
-        while True:
-            r = _prf(self.key, counter, attempt)
-            if r < limit:
-                return r % n
-            attempt += 1
+        """Exactly uniform integer in [0, n): block ``counter`` taken mod n."""
+        if not 0 < n <= 2**_BLOCK_BITS:
+            raise ValueError("n must lie in [1, 2^512]")
+        return _block(self.key, counter, n, (2**_BLOCK_BITS // n) * n)
 
     def digits(self, p: int) -> "DigitStream":
         return DigitStream(p, self)
@@ -63,29 +116,37 @@ class Stream:
 class DigitStream:
     """I.i.d. uniform base-p digits, addressable by index.
 
-    Digit i depends only on (key, i), so reading digits out of order or
-    extending precision later reproduces identical values.
+    The accepted blocks are kept as one integer, block b times p^(b*k), so a
+    residue is that integer mod p^m and a block is hashed only when a digit
+    beyond the drawn ones is read.
     """
 
-    __slots__ = ("p", "_stream", "_cache")
+    __slots__ = ("p", "_key", "_layout", "_value", "_blocks")
 
     def __init__(self, p: int, stream: Stream):
         self.p = p
-        self._stream = stream
-        self._cache = []
+        self._key = stream.key
+        self._layout = _layout(p)
+        self._value = 0
+        self._blocks = 0
+
+    def _draw(self, m: int) -> None:
+        """Draw blocks until the first m digits are known."""
+        k, q, limit = self._layout
+        while self._blocks * k < m:
+            self._value += _block(self._key, self._blocks, q, limit) * q**self._blocks
+            self._blocks += 1
 
     def digit(self, i: int) -> int:
-        while len(self._cache) <= i:
-            j = len(self._cache)
-            self._cache.append(self._stream.below(self.p, counter=j))
-        return self._cache[i]
+        if i >= self._blocks * self._layout[0]:
+            self._draw(i + 1)
+        return self._value // self.p**i % self.p
 
     def residue(self, m: int) -> int:
         """The value of the first m digits: uniform modulo p^m."""
-        acc = 0
-        for i in reversed(range(m)):
-            acc = acc * self.p + self.digit(i)
-        return acc
+        if m > self._blocks * self._layout[0]:
+            self._draw(m)
+        return self._value % self.p**m
 
     def scalar(self, m: int) -> PadicScalar:
         return PadicScalar.from_residue(self.p, self.residue(m), m)

@@ -309,6 +309,15 @@ class TestReportRoundTrip:
         assert config2 == config
         assert results2 == results
 
+    def test_reports_record_the_stream_format(self, capsys):
+        code, out = run_cli(
+            ["igf", "--experiment", "curve", "--curve", "line", "--prime", "3",
+             "--degree", "1", "--samples", "5", "--no-files"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["stream_format"] == 2
+
     def test_rational_encoding(self):
         from fractions import Fraction
 
@@ -388,3 +397,12 @@ class TestUsageErrors:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_seed_outside_64_bits_is_an_error_line(self, capsys):
+        code = main(
+            ["igf", "--experiment", "expected-zeros", "--prime", "3", "--samples", "5",
+             "--seed", "-1", "--no-files"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "seed -1" in err

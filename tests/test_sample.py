@@ -30,10 +30,20 @@ def brute_force_gl_count(p, size):
 
 class TestStream:
     def test_golden_digits(self):
-        # frozen output for (seed 42, child "x", p = 3); the PRF is keyed
-        # BLAKE2b so these values are platform independent
+        # frozen output of stream format 2 for (seed 42, child "x", p = 3);
+        # the PRF is keyed BLAKE2b so these values are platform independent
         d = Stream(42).child("x").digits(3)
-        assert [d.digit(i) for i in range(10)] == [0, 2, 1, 0, 1, 0, 0, 2, 0, 1]
+        assert [d.digit(i) for i in range(10)] == [1, 1, 0, 2, 0, 2, 2, 2, 1, 0]
+
+    def test_golden_residue_across_a_block_boundary(self):
+        # 400 base-3 digits span block 0 (digits 0..321) and block 1
+        golden = int(
+            "122876281200781656984007751977706726034870667597302420137277"
+            "818846547018554680559208852602138325945433661780833350950785"
+            "408039735791409915738080789618747344958066809121680058482094"
+            "20286225115"
+        )
+        assert Stream(42).child("x").digits(3).residue(400) == golden
 
     def test_determinism_and_order_independence(self):
         a = Stream(7).child("a").digits(5)
@@ -56,11 +66,65 @@ class TestStream:
         assert d.residue(5) % 8 == r3
         assert d.residue(20) % 8 == r3
 
+    def test_slash_in_a_label_is_not_a_separator(self):
+        assert Stream(1).child("a/b").key != Stream(1).child("a", "b").key
+
+    def test_int_and_str_labels_differ(self):
+        assert Stream(1).child(1).key != Stream(1).child("1").key
+
+    def test_tuple_label_differs_from_its_text(self):
+        assert Stream(1).child(("a", 1)).key != Stream(1).child("('a', 1)").key
+
+    def test_seed_outside_64_bits_is_rejected(self):
+        Stream(0)
+        Stream(2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                Stream(seed)
+
     def test_below_is_uniform_and_exact(self):
         s = Stream(9)
         vals = [s.child(i).below(7) for i in range(700)]
         assert set(vals) <= set(range(7))
         _, pval = chisquare([vals.count(i) for i in range(7)])
+        assert pval > 1e-4
+
+
+def digits_per_block(p):
+    """k of stream format 2: the largest k with p^(k+1) <= 2^512 (322 at p = 3)."""
+    k = 1
+    while p ** (k + 2) <= 2**512:
+        k += 1
+    return k
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_residue_refines_across_the_block_boundary(self, p):
+        k = digits_per_block(p)
+        precisions = (1, k - 1, k, k + 1, 2 * k + 3)
+        d = Stream(8).child("boundary", p).digits(p)
+        values = [d.residue(m) for m in precisions]
+        for m, v in zip(precisions, values):
+            assert 0 <= v < p**m
+            assert values[-1] % p**m == v
+        # reading the far side first gives the same digits
+        late = Stream(8).child("boundary", p).digits(p)
+        assert [late.digit(i) for i in (k, k - 1, 0)] == [d.digit(i) for i in (k, k - 1, 0)]
+        assert late.residue(k + 1) == values[3]
+        # block 1 is Stream.below(p^k, counter=1)
+        stream = Stream(8).child("boundary", p)
+        assert values[-1] // p**k % p**k == stream.below(p**k, counter=1)
+
+    def test_digits_on_both_sides_of_the_boundary_are_uniform(self):
+        p = 3
+        k = digits_per_block(p)
+        counts = [0] * (p * p)
+        base = Stream(12)
+        for i in range(2700):
+            d = base.child(i).digits(p)
+            counts[d.digit(k - 1) * p + d.digit(k)] += 1
+        _, pval = chisquare(counts)
         assert pval > 1e-4
 
 
