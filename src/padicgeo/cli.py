@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import accept, countvol, igf, roots, veronese
 from .errors import NotStabilized, PadicError
-from .sample import STREAM_FORMAT, RandomPolyModel, Stream
+from .sample import STREAM_FORMAT, RandomPolyModel, Stream, check_seed
 
 
 @dataclass
@@ -329,6 +329,7 @@ def vars_without(args, drop):
 
 
 def _cmd_reproduce(args) -> int:
+    check_seed(args.seed)  # before any criterion prints a line
     indices = set(args.only) if args.only else None
     results = []
 

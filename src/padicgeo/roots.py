@@ -3,15 +3,18 @@
 Roots in Z_p are located by the classical digit-by-digit descent: reduce
 mod p, certify simple residue roots (a unique lift exists whenever the
 reduced derivative is a unit), and recurse with t = a + p*s into multiple
-residue roots after dividing out content. Binary forms are counted on P^1
-through its two charts, and annulus counts use the reversed polynomial.
-``count_roots`` picks the counter for a region by name, and
+residue roots after dividing out content. ``count_roots`` reads every
+region as a tuple of disjoint balls, each on f or on its reversal
+y^d f(1/y): Z_p is one ball, Q_p and P^1 add the ball p Z_p in y, and the
+annulus |t| = p^m is the p - 1 balls a p^m + p^(m+1) Z_p in y. One counter
+descends all of them, for exact and fixed-precision inputs alike.
 ``precision_ladder`` is the one schedule of precisions that callers extend
 a sampled polynomial or matrix through.
 
-Counts are of DISTINCT roots. Exact-integer inputs are squarefree-reduced
-first; finite-precision inputs carry their uncertainty through the
-recursion and report Undetermined rather than guess.
+Counts are of DISTINCT roots. An exact-integer input is replaced by its
+squarefree part once per count, and the reversal is taken of that part;
+finite-precision inputs carry their uncertainty through the recursion and
+report Undetermined rather than guess.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ UNDETERMINED = "undetermined"
 
 DEPTH_BUDGET_FACTOR = 4  # recursion depth budget is 4*(d+1)
 PRECISION_CAP = 64  # digits; the last rung of every precision ladder
+POLY_DIGITS = 8  # first rung of the precision ladder for sampled polynomials
 
 
 @dataclass(frozen=True)
@@ -45,11 +49,6 @@ class Witness:
     level: int
     chart: str = "zp"
 
-    def as_projective(self):
-        if self.chart == "zp":
-            return (self.center, 1)
-        return (1, self.center)
-
 
 @dataclass
 class RootReport:
@@ -62,19 +61,6 @@ class RootReport:
     @property
     def exact(self) -> bool:
         return self.status == EXACT
-
-    def merged_with(self, other: "RootReport") -> "RootReport":
-        status = EXACT
-        if self.status != EXACT or other.status != EXACT:
-            count = self.count + other.count
-            status = UNDETERMINED if count == 0 else LOWER_BOUND
-        return RootReport(
-            count=self.count + other.count,
-            status=status if status != EXACT else EXACT,
-            witnesses=self.witnesses + other.witnesses,
-            precision_consumed=max(self.precision_consumed, other.precision_consumed),
-            unresolved_classes=self.unresolved_classes + other.unresolved_classes,
-        )
 
 
 # -- integer polynomial helpers ---------------------------------------------
@@ -159,13 +145,22 @@ def substitute_digit(coeffs, a, p, shift=1, mod=None):
 
 
 class _Counter:
-    def __init__(self, p, chart):
+    """Roots found so far over the balls of one region; ``chart`` is the
+    chart of the ball being descended."""
+
+    def __init__(self, p):
         self.p = p
-        self.chart = chart
+        self.chart = "zp"
         self.count = 0
         self.witnesses = []
         self.unresolved = 0
         self.consumed = 0
+
+    def report(self) -> RootReport:
+        status = EXACT
+        if self.unresolved:
+            status = LOWER_BOUND if self.count else UNDETERMINED
+        return RootReport(self.count, status, self.witnesses, self.consumed, self.unresolved)
 
     def run(self, coeffs, prec, depth, center, level):
         p = self.p
@@ -215,113 +210,24 @@ class _Counter:
                 self.run(child, prec, depth - 1, center + p**level * a, level + 1)
 
 
-def _count_in_region(p, coeffs, prec, center, level, chart="zp", depth=None):
-    """Count distinct roots in center + p^level Z_p."""
-    d = max(len(trim(coeffs)) - 1, 0)
-    if depth is None:
-        depth = DEPTH_BUDGET_FACTOR * (d + 1)
-    counter = _Counter(p, chart)
-    if level > 0:
-        start = substitute_digit(
-            coeffs, center, p, shift=level, mod=None if prec is INF else p ** int(prec)
-        )
-    else:
-        start = list(coeffs)
-    counter.run(start, prec, depth, center, level)
-    status = EXACT
-    if counter.unresolved:
-        status = LOWER_BOUND if counter.count else UNDETERMINED
-    return RootReport(
-        count=counter.count,
-        status=status,
-        witnesses=counter.witnesses,
-        precision_consumed=counter.consumed,
-        unresolved_classes=counter.unresolved,
-    )
+def _region_balls(p, region):
+    """The balls (chart, center, level) that make up a region.
 
-
-def count_roots_zp(p, coeffs, precision=None) -> RootReport:
-    """Distinct roots in Z_p. ``precision=None`` means exact integers."""
-    coeffs = trim(coeffs)
-    if precision is None:
-        if not coeffs:
-            raise IdenticallyZeroAtPrecision("the zero polynomial")
-        coeffs = squarefree_part(coeffs)
-        return _count_in_region(p, coeffs, INF, 0, 0)
-    return _count_in_region(p, coeffs, precision, 0, 0)
-
-
-def count_roots_p1(p, form, precision=None) -> RootReport:
-    """Roots on P^1 of the binary form sum_k form[k] x0^(d-k) x1^k.
-
-    The affine chart counts zeros [t:1] with t in Z_p; the chart at infinity
-    counts zeros [1:s] with s in p Z_p. The charts partition P^1.
+    A "zp" ball is center + p^level Z_p in t; an "inf" ball is the same set
+    in y = 1/t, read through the reversal of f. The balls of a region are
+    disjoint, so its roots are the sum of theirs.
     """
-    form = list(form)
-    if all(c == 0 for c in form):
-        raise IdenticallyZeroAtPrecision("the zero form")
-    affine = list(reversed(form))  # F(t, 1) ascending in t
-    at_inf = form  # F(1, s) ascending in s
-    prec = precision
-    if precision is None:
-        affine, at_inf, prec = squarefree_part(affine), squarefree_part(at_inf), INF
-    r1 = _count_in_region(p, affine, prec, 0, 0)
-    r2 = _count_in_region(p, at_inf, prec, 0, 1, chart="inf")
-    return r1.merged_with(r2)
-
-
-def count_roots_annulus(p, coeffs, m, precision=None) -> RootReport:
-    """Distinct roots x with |x| = p^m (m >= 1), via the reversed polynomial.
-
-    x is a root with v(x) = -m exactly iff y = 1/x is a root of the reversed
-    polynomial with v(y) = m, i.e. y = p^m * u with u a unit.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    coeffs = list(coeffs)
-    if all(c == 0 for c in coeffs):
-        raise IdenticallyZeroAtPrecision("the zero polynomial")
-    rev = list(reversed(coeffs))
-    prec = precision
-    if precision is None:
-        rev, prec = squarefree_part(rev), INF
-    total = RootReport(0, EXACT)
-    for a in range(1, p):
-        rep = _count_in_region(p, rev, prec, a * p**m, m + 1, chart="inf")
-        total = total.merged_with(rep)
-    return total
-
-
-def count_roots_qp(p, coeffs, precision=None) -> RootReport:
-    """Distinct roots in all of Q_p: Z_p roots plus roots with |x| > 1.
-
-    A root x outside Z_p is y = 1/x in p Z_p for the reversed polynomial.
-    """
-    if precision is None:
-        sf = squarefree_part(coeffs)
-        if not sf:
-            raise IdenticallyZeroAtPrecision("the zero polynomial")
-        inside = _count_in_region(p, sf, INF, 0, 0)
-        # the reversal's constant term is f's leading coefficient, so y = 0
-        # is never a root of it
-        outside = _count_in_region(p, trim(reversed(sf)), INF, 0, 1, chart="inf")
-        return inside.merged_with(outside)
-    coeffs = list(coeffs)
-    inside = count_roots_zp(p, coeffs, precision)
-    outside = _count_in_region(p, coeffs[::-1], precision, 0, 1, chart="inf")
-    if coeffs[-1] % p ** int(precision) == 0:
-        # the reversed constant term vanishes at precision: a root at
-        # y = 0 cannot be told from a tiny nonzero root; stay undecided
-        outside = RootReport(
-            outside.count,
-            LOWER_BOUND if outside.count else UNDETERMINED,
-            outside.witnesses,
-            outside.precision_consumed,
-            outside.unresolved_classes + 1,
-        )
-    # otherwise 0 is certified not to be a root, and every witness ball
-    # holds one genuine nonzero root already
-    return inside.merged_with(outside)
+    if region == "zp":
+        return (("zp", 0, 0),)
+    if region in ("qp", "p1"):
+        return (("zp", 0, 0), ("inf", 0, 1))
+    if region.startswith("annulus:"):
+        m = int(region[len("annulus:"):])
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        # |t| = p^m iff y = 1/t = p^m * u with u a unit
+        return tuple(("inf", a * p**m, m + 1) for a in range(1, p))
+    raise ValueError(f"unknown region {region!r}")
 
 
 def count_roots(p, coeffs, region, precision=None) -> RootReport:
@@ -333,15 +239,52 @@ def count_roots(p, coeffs, region, precision=None) -> RootReport:
     exact integers; otherwise every coefficient is a residue mod
     p^precision.
     """
-    if region == "zp":
-        return count_roots_zp(p, coeffs, precision)
-    if region == "qp":
-        return count_roots_qp(p, coeffs, precision)
-    if region == "p1":
-        return count_roots_p1(p, list(reversed(coeffs)), precision)
-    if region.startswith("annulus:"):
-        return count_roots_annulus(p, coeffs, int(region[len("annulus:"):]), precision)
-    raise ValueError(f"unknown region {region!r}")
+    balls = _region_balls(p, region)
+    coeffs = list(coeffs)
+    if not any(coeffs):
+        raise IdenticallyZeroAtPrecision("the zero polynomial")
+    if precision is None:
+        prec, mod = INF, None
+        f = squarefree_part(coeffs)
+        rev = trim(f[::-1])
+        if coeffs[-1] == 0 and region != "qp":
+            rev = [0] + rev  # y divides the reversal: a root at [1:0]
+    else:
+        prec, mod = precision, p ** int(precision)
+        f, rev = coeffs, coeffs[::-1]
+    counter = _Counter(p)
+    for chart, center, level in balls:
+        poly = f if chart == "zp" else rev
+        depth = DEPTH_BUDGET_FACTOR * (max(len(trim(poly)) - 1, 0) + 1)
+        if level:
+            poly = substitute_digit(poly, center, p, shift=level, mod=mod)
+        counter.chart = chart
+        counter.run(poly, prec, depth, center, level)
+    if region == "qp" and mod is not None and coeffs[-1] % mod == 0:
+        # the reversal's constant term vanishes at precision: a root at
+        # y = 0, outside Q_p, cannot be told from a tiny nonzero one
+        counter.unresolved += 1
+    return counter.report()
+
+
+def count_roots_zp(p, coeffs, precision=None) -> RootReport:
+    """Distinct roots in Z_p. ``precision=None`` means exact integers."""
+    return count_roots(p, coeffs, "zp", precision)
+
+
+def count_roots_p1(p, form, precision=None) -> RootReport:
+    """Roots on P^1 of the binary form sum_k form[k] x0^(d-k) x1^k."""
+    return count_roots(p, form[::-1], "p1", precision)
+
+
+def count_roots_annulus(p, coeffs, m, precision=None) -> RootReport:
+    """Distinct roots x with |x| = p^m (m >= 1)."""
+    return count_roots(p, coeffs, f"annulus:{m}", precision)
+
+
+def count_roots_qp(p, coeffs, precision=None) -> RootReport:
+    """Distinct roots in all of Q_p: Z_p roots plus roots with |x| > 1."""
+    return count_roots(p, coeffs, "qp", precision)
 
 
 def precision_ladder(start):
@@ -407,13 +350,13 @@ def power_coeffs_from_mahler(zeta, d):
 def adaptive_count(poly, region="p1") -> RootReport:
     """Count roots of a sampled polynomial, extending precision until Exact.
 
-    Climbs the precision ladder from the model's precision to PRECISION_CAP
-    digits; under the uniform models the event of never certifying has
-    probability zero, and hitting the cap raises CertificationCapExceeded
-    for the caller to record.
+    Climbs the precision ladder from POLY_DIGITS to PRECISION_CAP digits;
+    under the uniform models the event of never certifying has probability
+    zero, and hitting the cap raises CertificationCapExceeded for the
+    caller to record.
     """
     model = poly.model
-    for m in precision_ladder(model.precision):
+    for m in precision_ladder(POLY_DIGITS):
         residues = poly.residues(m)
         if model.kind == MAHLER:
             coeffs = power_coeffs_from_mahler(residues, len(residues) - 1)

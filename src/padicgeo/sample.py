@@ -84,6 +84,13 @@ def _encode_labels(labels) -> bytes:
     return b"".join(parts)
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself; ValueError if it is outside [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
 class Stream:
     """An immutable, splittable source of uniform randomness."""
 
@@ -93,10 +100,8 @@ class Stream:
         if key is not None:
             self.key = key
         else:
-            if not 0 <= seed < 2**64:
-                raise ValueError(f"seed {seed} is outside [0, 2^64)")
             self.key = hashlib.blake2b(
-                struct.pack("<Q", seed), key=b"padicgeo", digest_size=32
+                struct.pack("<Q", check_seed(seed)), key=b"padicgeo", digest_size=32
             ).digest()
 
     def child(self, *labels) -> "Stream":
@@ -218,7 +223,6 @@ class RandomPolyModel:
     kind: str
     degree: int
     prime: int
-    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         if self.kind not in (MONOMIAL, MAHLER):

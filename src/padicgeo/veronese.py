@@ -11,7 +11,6 @@ constant on those domains, which turns arc length into a single p-power.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,12 +57,6 @@ class VeroneseMap:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind != STANDARD and self.n != 1:
             raise ValueError("binomial-basis maps are univariate")
-
-    @property
-    def target_dim(self) -> int:
-        if self.kind == STANDARD:
-            return math.comb(self.n + self.d, self.d) - 1
-        return self.d
 
 
 def binomials(t, d: int) -> list:

@@ -124,10 +124,6 @@ class PadicScalar:
     # -- state predicates and accessors ------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return self._state == _EXACT
-
-    @property
     def is_zero_at_precision(self) -> bool:
         return self._state == _ZERO
 
@@ -376,10 +372,6 @@ class PadicVector:
             return PNorm(max(exacts), exact=True)
         return PNorm(max(bounds + exacts), exact=False)
 
-    def is_sphere_normalized(self) -> bool:
-        n = self.norm()
-        return n.exact and n.value == 1
-
 
 def wedge_norm(a: PadicVector, b: PadicVector) -> Fraction:
     """Max p-adic absolute value over the 2x2 minors of the rows (a, b).
@@ -449,17 +441,6 @@ class PadicMatrix:
 
     def row(self, i) -> PadicVector:
         return PadicVector(self.entries[i])
-
-    def apply(self, v: PadicVector) -> PadicVector:
-        if v.dim != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.entries:
-            acc = row[0] * v[0]
-            for e, x in zip(row[1:], v.entries[1:]):
-                acc = acc + e * x
-            out.append(acc)
-        return PadicVector(out)
 
     def residue_rows(self, m: int):
         return [[e.residue(m) for e in row] for row in self.entries]

@@ -54,6 +54,31 @@ def test_wrong_target_fails_its_criterion(monkeypatch):
     assert not run_criterion(9, seed=SEED).passed
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_criterion_seeds_wrap_into_64_bits(monkeypatch, seed):
+    """Criteria 5-10 hand their estimators seed + offset mod 2^64."""
+    seeds = []
+
+    def mc_report(cfg):
+        seeds.append(cfg.seed)
+        return igf.McReport("stub", 1, 0.0, 0.0, Fraction(0), cfg.seed, 0)
+
+    def density(model, cfg):
+        seeds.append(cfg.seed)
+        return igf.DensityReport([], 0, 0.0, 1.0, 1, 0, cfg.seed)
+
+    monkeypatch.setattr(igf, "mc_expected_zeros", lambda model, region, cfg: mc_report(cfg))
+    monkeypatch.setattr(igf, "mc_linear_lemma", lambda *args: mc_report(args[-1]))
+    monkeypatch.setattr(igf, "mc_igf_curve", lambda p, curve, d, cfg: mc_report(cfg))
+    monkeypatch.setattr(igf, "density_uniformity_test", density)
+    for index in range(5, 11):
+        run_criterion(index, seed=seed)
+    offsets = [5_002, 5_003, 5_005, 5_007, 6_003, 6_007, 6_004, 7_001, 7_002]
+    offsets += [8_001, 8_002, 9_001, 9_002, 10_001, 10_002]
+    assert seeds == [(seed + k) % 2**64 for k in offsets]
+    assert all(0 <= s < 2**64 for s in seeds)
+
+
 def _enumeration_oracle(coeffs, p, budget=400_000):
     """Criterion 12's oracle evaluating the squarefree part at all p^k residues."""
     sf = squarefree_part(coeffs)

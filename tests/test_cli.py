@@ -398,6 +398,13 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_reproduce_checks_its_seed_before_any_criterion(self, capsys):
+        code = main(["reproduce-paper", "--seed", "-1", "--only", "1", "2", "3", "--no-files"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "criterion" not in captured.out
+        assert captured.err.startswith("usage error:") and "seed -1" in captured.err
+
     def test_seed_outside_64_bits_is_an_error_line(self, capsys):
         code = main(
             ["igf", "--experiment", "expected-zeros", "--prime", "3", "--samples", "5",

@@ -9,6 +9,10 @@ import pytest
 from padicgeo.errors import IdenticallyZeroAtPrecision
 from padicgeo.roots import (
     EXACT,
+    LOWER_BOUND,
+    UNDETERMINED,
+    RootReport,
+    Witness,
     count_roots,
     count_roots_annulus,
     count_roots_p1,
@@ -400,3 +404,63 @@ def test_qp_is_zp_plus_the_annuli_out_to_the_leading_valuation(p):
         assert total.count == sum(r.count for r in parts), (p, coeffs)
         outside += total.count - parts[0].count
     assert outside > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fixed_precision_qp_adds_a_class_when_the_leading_coefficient_vanishes(p):
+    # y = 0 is a root on P^1 but outside Q_p; at precision it cannot be told
+    # from a tiny nonzero root, so Q_p keeps it as one unresolved class
+    rng = random.Random(800 + p)
+    prec = 4
+    q = p**prec
+    for _ in range(200):
+        coeffs = [rng.randrange(q) for _ in range(rng.randint(1, 4))]
+        coeffs.append(rng.choice([0, q, 2 * q]))  # vanishes mod p^prec
+        if not any(c % q for c in coeffs):
+            continue
+        qp = count_roots(p, coeffs, "qp", prec)
+        p1 = count_roots(p, coeffs, "p1", prec)
+        assert qp.unresolved_classes == p1.unresolved_classes + 1
+        assert qp.status in (LOWER_BOUND, UNDETERMINED)
+        assert (qp.count, qp.witnesses) == (p1.count, p1.witnesses)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exact_p1_count_is_the_qp_count_plus_the_point_at_infinity(p):
+    rng = random.Random(900 + p)
+    for _ in range(1000):
+        form = [rng.randint(-9, 9) for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.3:
+            form[0] = 0  # F(t, 1) loses its leading coefficient
+        if not any(form):
+            continue
+        p1 = count_roots_p1(p, form)
+        qp = count_roots_qp(p, form[::-1])
+        assert p1.status == qp.status == EXACT
+        assert p1.count == qp.count + (form[0] == 0), (p, form)
+
+
+# 9 t^2 - 1 listed with a zero leading coefficient: on P^1 the reversal keeps
+# its factor y, a root at [1:0], and in the annulus that factor's content
+# shows in the precision consumed
+GOLDEN_TRAILING_ZERO = [
+    (
+        "p1",
+        RootReport(
+            3,
+            EXACT,
+            [Witness(0, 2, "inf"), Witness(3, 2, "inf"), Witness(6, 2, "inf")],
+            precision_consumed=4,
+        ),
+    ),
+    (
+        "annulus:1",
+        RootReport(2, EXACT, [Witness(3, 3, "inf"), Witness(24, 3, "inf")], precision_consumed=6),
+    ),
+]
+
+
+@pytest.mark.parametrize("precision", [None, 6])
+@pytest.mark.parametrize("region, expected", GOLDEN_TRAILING_ZERO)
+def test_golden_report_for_a_trailing_zero_list(region, expected, precision):
+    assert count_roots(3, [-1, 0, 9, 0], region, precision) == expected
