@@ -140,16 +140,10 @@ def _criterion_4(seed):
 
 
 def _mc_rows(reports):
+    """Each report's row, less the experiment name and sample count."""
+    dropped = ("experiment", "n_samples")
     return [
-        {
-            "params": {k: igf._plain(v) for k, v in r.params.items()},
-            "mean": f"{r.mean:.12g}",
-            "stderr": f"{r.stderr:.12g}",
-            "target_num": r.target.numerator,
-            "target_den": r.target.denominator,
-            "pass": r.passed,
-            "excluded": r.excluded,
-        }
+        {k: v for k, v in r.as_report_dict("").items() if k not in dropped}
         for r in reports
     ]
 

@@ -20,6 +20,11 @@ survives to it contributes [0, 1] to the reported interval.
 Once every surviving class at a level m0 is confirmed with margin
 m0 >= 2w, the count grows exactly by p^k per level and the volume
 N_{m0} / p^{m0 k} is exact.
+
+The tree keeps its state current as it grows: a certificate lowers the
+least valuation recorded on its class and on every ancestor when it is
+found, and a grown class left with no live child dies, with each ancestor
+it leaves childless, so counts can be read at any point.
 """
 
 from __future__ import annotations
@@ -180,7 +185,6 @@ class CountConfig:
     class_budget: int = 10**7
     extra_levels: int = 8
     smooth_locus_only: bool = False
-    prune: bool = True  # disable to keep expanding below settled classes
 
 
 @dataclass
@@ -216,19 +220,12 @@ class VolumeEstimate:
 
 
 class _Node:
-    __slots__ = (
-        "coords",
-        "level",
-        "lead",
-        "w",
-        "parent",
-        "children",
-        "has_root",
-        "root_w",
-        "alive",
-        "expanded",
-        "pruned",
-    )
+    """A class of the lifting tree. ``children`` is None until the class is
+    grown; ``root_w`` is the least valuation of a certificate in its subtree
+    (INF: no zero found yet); a class is dead once it is grown, not settled
+    and has no live child."""
+
+    __slots__ = ("coords", "level", "lead", "w", "parent", "children", "root_w", "alive")
 
     def __init__(self, coords, level, lead, w, parent):
         self.coords = coords
@@ -236,18 +233,15 @@ class _Node:
         self.lead = lead
         self.w = w
         self.parent = parent
-        self.children = []
-        self.has_root = False
+        self.children = None
         self.root_w = INF
         self.alive = True
-        self.expanded = False
-        self.pruned = False
 
     @property
     def settled(self) -> bool:
         """Contains a zero and sits past the stability threshold: below this
         class the count grows exactly by p^k per level."""
-        return self.has_root and self.level >= 2 * self.root_w
+        return self.level >= 2 * self.root_w
 
 
 class _LiftingTree:
@@ -324,8 +318,11 @@ class _LiftingTree:
             anc = node
             while anc.level > target:
                 anc = anc.parent
-            anc.has_root = True
-            anc.root_w = min(anc.root_w, int(w))
+            # root_w is a subtree minimum: past the first ancestor already at
+            # or below w, every one above is too
+            while anc is not None and anc.root_w > w:
+                anc.root_w = w
+                anc = anc.parent
         return node
 
     @property
@@ -337,7 +334,7 @@ class _LiftingTree:
         p, level = self.p, node.level
         if len(self.levels) == level + 1:
             self.levels.append({})
-        node.expanded = True
+        node.children = []
         step = p**level
         free = [i for i in range(self.n + 1) if i != node.lead]
         for digits in itertools.product(range(p), repeat=self.n):
@@ -347,16 +344,19 @@ class _LiftingTree:
             coords = tuple(coords)
             if self._vanishes(coords, level + 1):
                 self._add_node(coords, level + 1, node.lead, node)
+        # nothing below a dead class is left to certify it, so it stays dead
+        while node and not node.settled and not any(c.alive for c in node.children):
+            node.alive = False
+            node = node.parent
 
     def expand(self):
-        """Grow the tree one level deeper; settled subtrees are pruned since
-        their counts below are already exact (p^k children per level)."""
+        """Grow the tree one level deeper; settled classes are not grown
+        since their counts below are already exact (p^k children per level)."""
         level = self.depth
         self.levels.append({})
         for node in self.levels[level].values():
-            if self.cfg.prune and (node.settled or node.pruned):
-                continue
-            self._grow(node)
+            if not node.settled:
+                self._grow(node)
 
     def resolve(self, cls, cap: int):
         """Search below the class ``cls`` for its first certifying descendant.
@@ -399,25 +399,6 @@ class _LiftingTree:
             self._grow(node)
             stack.extend(node.children)
 
-    def finalize(self):
-        """Propagate certificates upward, pruning downward, aliveness upward."""
-        for level in range(self.depth, 1, -1):
-            for node in self.levels[level].values():
-                if node.has_root:
-                    node.parent.has_root = True
-                    node.parent.root_w = min(node.parent.root_w, node.root_w)
-        for level in range(2, self.depth + 1):
-            for node in self.levels[level].values():
-                node.pruned = node.parent.pruned or node.parent.settled
-        for level in range(self.depth - 1, 0, -1):
-            for node in self.levels[level].values():
-                if node.settled or node.pruned or not node.expanded:
-                    node.alive = True
-                else:
-                    node.alive = any(c.alive for c in node.children)
-        for node in self.levels[self.depth].values():
-            node.alive = True
-
     def _walk(self, m: int):
         """Yield ("settled", node) for maximal settled classes at level <= m
         and ("class", node) for the remaining classes at exactly level m."""
@@ -451,7 +432,7 @@ class _LiftingTree:
                     certified.append(
                         (ResidueProjPoint(self.p, m, node.coords), node.root_w)
                     )
-            elif node.has_root:
+            elif node.root_w != INF:
                 lo += 1
                 certified.append(
                     (ResidueProjPoint(self.p, m, node.coords), node.root_w)
@@ -463,7 +444,7 @@ class _LiftingTree:
     def stabilized_at(self, m: int) -> bool:
         """Every surviving level-m class is certified with margin m >= 2w."""
         for kind, node in self._walk(m):
-            if kind == "class" and not (node.has_root and m >= 2 * node.root_w):
+            if kind == "class" and m < 2 * node.root_w:
                 return False
         return True
 
@@ -475,11 +456,9 @@ def build_tree(xset: AlgebraicSet, p: int, level: int, config: CountConfig | Non
     tree = _LiftingTree(xset, p, cfg)
     while tree.depth < level:
         tree.expand()
-    tree.finalize()
-    unresolved = [n for kind, n in tree._walk(level) if kind == "class" and not n.has_root]
+    unresolved = [n for kind, n in tree._walk(level) if kind == "class" and n.root_w == INF]
     for cls in unresolved:
         tree.resolve(cls, level + cfg.extra_levels)
-    tree.finalize()
     return tree
 
 
@@ -528,7 +507,6 @@ def weil_special_case(xset: AlgebraicSet, p: int, config: CountConfig | None = N
     """N_1(X) / p^k for X smooth mod p; the volume stabilizes immediately."""
     cfg = config or CountConfig()
     tree = _LiftingTree(xset, p, cfg)
-    tree.finalize()
     bad = [n for n in tree.levels[1].values() if n.w != 0]
     if bad:
         raise NotSmoothModP(

@@ -58,10 +58,6 @@ class RootReport:
     precision_consumed: int = 0
     unresolved_classes: int = 0
 
-    @property
-    def exact(self) -> bool:
-        return self.status == EXACT
-
 
 # -- integer polynomial helpers ---------------------------------------------
 
@@ -262,8 +258,14 @@ def count_roots(p, coeffs, region, precision=None) -> RootReport:
         counter.run(poly, prec, depth, center, level)
     if region == "qp" and mod is not None and coeffs[-1] % mod == 0:
         # the reversal's constant term vanishes at precision: a root at
-        # y = 0, outside Q_p, cannot be told from a tiny nonzero one
-        counter.unresolved += 1
+        # y = 0, outside Q_p, cannot be told from a tiny nonzero one. The
+        # descent of y = 0 ends in one class, a witness or unresolved, and
+        # that class counts once, as unresolved, never as a root
+        kept = [w for w in counter.witnesses if not (w.chart == "inf" and w.center == 0)]
+        if len(kept) < len(counter.witnesses):
+            counter.witnesses = kept
+            counter.count -= 1
+            counter.unresolved += 1
     return counter.report()
 
 

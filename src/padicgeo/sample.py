@@ -245,10 +245,6 @@ class SampledPoly:
     def residues(self, m: int):
         return [c.residue(m) for c in self.coefficients]
 
-    def scalars(self, m: int):
-        p = self.model.prime
-        return [PadicScalar.from_residue(p, r, m) for r in self.residues(m)]
-
 
 def sample_poly(model: RandomPolyModel, stream: Stream) -> SampledPoly:
     """Draw one polynomial from the model; coefficients stay extendable."""

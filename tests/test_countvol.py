@@ -20,6 +20,7 @@ from padicgeo.countvol import (
 from padicgeo.errors import BudgetExceeded, NotSmoothModP, NotStabilized
 from padicgeo.proj import enumerate_proj, proj_space_count, volume_proj_space
 from padicgeo.roots import count_roots_p1
+from padicgeo.zp import INF
 
 CONIC = AlgebraicSet.from_strings(2, ["x0*x2 - x1^2"], dim=1, degree=2)
 LINE = AlgebraicSet.from_strings(2, ["x2"], dim=1, degree=1)
@@ -45,7 +46,7 @@ def _unresolved_below(tree, m):
         node = stack.pop()
         if not node.alive or node.settled:
             continue
-        if not node.has_root:
+        if node.root_w == INF:
             return True
         if node.level < m:
             stack.extend(node.children)
@@ -60,13 +61,37 @@ def _full_build(xset, p, level, config=None):
     tree = _LiftingTree(xset, p, cfg)
     while tree.depth < level:
         tree.expand()
-    tree.finalize()
     extra = 0
     while _unresolved_below(tree, level) and extra < cfg.extra_levels:
         tree.expand()
-        tree.finalize()
         extra += 1
     return tree
+
+
+def _assert_state_is_current(tree):
+    """Recompute, in post-order from each node's w and level and the set's
+    codimension alone, the least certificate valuation in every subtree and
+    whether each class is alive, and compare with the tree's own fields."""
+    certifies = len(tree.x.generators) == tree.x.codim
+    least_here = {}  # id(node) -> least valuation of a certificate for it
+
+    def visit(node, path):
+        path = path + [node]
+        w, level = node.w, node.level
+        if certifies and w != INF and 2 * w < level:
+            target = id(path[max(1, level - w) - 1])
+            least_here[target] = min(least_here.get(target, INF), w)
+        least, live = INF, False
+        for child in node.children or ():
+            child_least, child_live = visit(child, path)
+            least, live = min(least, child_least), live or child_live
+        least = min(least, least_here.get(id(node), INF))
+        live = node.children is None or level >= 2 * least or live
+        assert (node.root_w, node.alive) == (least, live), (node.coords, level)
+        return least, live
+
+    for node in tree.levels[1].values():
+        visit(node, [])
 
 
 def enumeration_oracle(xset, p, m):
@@ -170,11 +195,16 @@ class TestStabilization:
         assert abs(hi - 2 * volume_proj_space(3, 1)) < Fraction(1, 9)
 
     def test_certified_children_law_unpruned(self):
-        tree = build_tree(CONIC, 3, 3, CountConfig(prune=False))
+        # the tree does not grow settled classes; growing them by hand, every
+        # certified class has p^k = 3 certified children
+        tree = build_tree(CONIC, 3, 3)
         for lv in (1, 2):
             for node in tree.levels[lv].values():
-                if node.has_root and node.expanded:
-                    assert sum(1 for c in node.children if c.has_root) == 3
+                if node.settled and node.children is None:
+                    tree._grow(node)
+                if node.root_w != INF:
+                    assert sum(1 for c in node.children if c.root_w != INF) == 3
+        assert [len(tree.levels[lv]) for lv in (1, 2, 3)] == [4, 12, 36]
 
 
 class TestRootsModuleAgreement:
@@ -276,6 +306,35 @@ class TestDemandDrivenLifting:
     def test_node_counts(self):
         assert build_tree(TWO_LINES, 5, 3).node_count < 2_000
         assert build_tree(NODAL_CUBIC, 3, 3).node_count < 1_000
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", list(GATE_SETS))
+    def test_state_matches_a_recomputation(self, name, p):
+        # the cases of test_matches_the_full_build
+        xset = GATE_SETS[name]
+        top = 2 if name in SINGULAR and p == 5 else 3
+        cfg = CountConfig(extra_levels=3) if xset is CUSP and p > 2 else CountConfig()
+        for m in range(1, top + 1):
+            _assert_state_is_current(build_tree(xset, p, m, cfg))
+
+    @pytest.mark.parametrize(
+        "name,p,level,nodes",
+        [
+            ("conic", 2, 3, 3),
+            ("conic", 3, 3, 4),
+            ("conic", 5, 3, 6),
+            ("line", 2, 3, 3),
+            ("line", 3, 3, 4),
+            ("line", 5, 3, 6),
+            ("two-lines", 2, 3, 57),
+            ("two-lines", 3, 3, 205),
+            ("two-lines", 5, 2, 311),
+            ("nodal", 3, 3, 471),
+            ("nodal", 5, 2, 430),
+        ],
+    )
+    def test_benchmark_fixture_node_counts(self, name, p, level, nodes):
+        assert build_tree(GATE_SETS[name], p, level).node_count == nodes
 
 
 def _frozen_count(name, p, m):

@@ -409,7 +409,7 @@ def test_qp_is_zp_plus_the_annuli_out_to_the_leading_valuation(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_fixed_precision_qp_adds_a_class_when_the_leading_coefficient_vanishes(p):
     # y = 0 is a root on P^1 but outside Q_p; at precision it cannot be told
-    # from a tiny nonzero root, so Q_p keeps it as one unresolved class
+    # from a tiny nonzero root, so Q_p counts its class once, as unresolved
     rng = random.Random(800 + p)
     prec = 4
     q = p**prec
@@ -420,9 +420,24 @@ def test_fixed_precision_qp_adds_a_class_when_the_leading_coefficient_vanishes(p
             continue
         qp = count_roots(p, coeffs, "qp", prec)
         p1 = count_roots(p, coeffs, "p1", prec)
-        assert qp.unresolved_classes == p1.unresolved_classes + 1
+        at_zero = [w for w in p1.witnesses if w.chart == "inf" and w.center % p**w.level == 0]
+        assert qp.witnesses == [w for w in p1.witnesses if w not in at_zero]
+        assert qp.count + qp.unresolved_classes == p1.count + p1.unresolved_classes
         assert qp.status in (LOWER_BOUND, UNDETERMINED)
-        assert (qp.count, qp.witnesses) == (p1.count, p1.witnesses)
+        for lead in (0, q):  # the lifts whose leading coefficient is 0 and q
+            assert qp.count <= count_roots(p, coeffs[:-1] + [lead], "qp").count, coeffs
+
+
+def test_fixed_precision_qp_never_counts_the_class_of_y_zero():
+    # 9 t^2 - 1 listed with a zero leading coefficient has two roots in Q_p
+    rep = count_roots(3, [-1, 0, 9, 0], "qp", 6)
+    assert rep == RootReport(
+        2,
+        LOWER_BOUND,
+        [Witness(3, 2, "inf"), Witness(6, 2, "inf")],
+        precision_consumed=4,
+        unresolved_classes=1,
+    )
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
