@@ -38,12 +38,10 @@ from .sample import (
     HaarMatrix,
     RandomPolyModel,
     Stream,
-    sample_haar_gl,
     sample_poly,
-    sample_zp,
 )
 from .veronese import VeroneseMap, arc_length, isometry_check, mahler_jacobian_norm
-from .zp import PadicMatrix, PadicScalar, PadicVector, mat_det_valuation, padic_norm, wedge_norm
+from .zp import PadicScalar, PadicVector, wedge_norm
 
 __version__ = "0.1.0"
 
@@ -56,7 +54,6 @@ __all__ = [
     "LinearSubspace",
     "McConfig",
     "McReport",
-    "PadicMatrix",
     "PadicScalar",
     "PadicVector",
     "ProjPoint",
@@ -78,16 +75,12 @@ __all__ = [
     "intersect_linear",
     "isometry_check",
     "mahler_jacobian_norm",
-    "mat_det_valuation",
     "mc_expected_zeros",
     "mc_igf_curve",
     "mc_linear_lemma",
-    "padic_norm",
     "proj_distance",
     "reduce_mod",
-    "sample_haar_gl",
     "sample_poly",
-    "sample_zp",
     "volume_proj_space",
     "wedge_norm",
 ]

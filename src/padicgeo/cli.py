@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -367,6 +368,14 @@ def _cmd_reproduce(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _prime(text: str) -> int:
+    """argparse type for --prime: an integer p >= 2 with no divisor up to sqrt(p)."""
+    p = int(text)
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicgeo",
@@ -388,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument(
         "--coeffs", required=True, help="ascending in t, e.g. 1,0,-1 for t^2 - 1"
     )
-    p_roots.add_argument("--prime", type=int, required=True)
+    p_roots.add_argument("--prime", type=_prime, required=True)
     p_roots.add_argument("--chart", default="zp", help="zp | p1 | qp | annulus:m")
     p_roots.add_argument("--precision", type=int, default=None)
     p_roots.set_defaults(func=_cmd_roots)
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, extra in (("count", "level"), ("volume", "max_level")):
         p_c = sub.add_parser(name, help=f"{name} points of a projective set", parents=[common])
         p_c.add_argument("--gens", required=True, help="semicolon-separated generators")
-        p_c.add_argument("--prime", type=int, required=True)
+        p_c.add_argument("--prime", type=_prime, required=True)
         p_c.add_argument(f"--{extra.replace('_', '-')}", type=int, required=True)
         p_c.add_argument("--dim", type=int, required=True)
         p_c.add_argument("--degree", type=int, default=None)
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--kind", choices=["standard", "mahler"], required=True)
     p_v.add_argument("--n", type=int, default=1)
     p_v.add_argument("--d", type=int, required=True)
-    p_v.add_argument("--prime", type=int, required=True)
+    p_v.add_argument("--prime", type=_prime, required=True)
     p_v.add_argument("--check", choices=["isometry", "jacobian", "arclength"], required=True)
     p_v.add_argument("--pairs", type=int, default=1000)
     p_v.add_argument("--seed", type=int, default=0)
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_i.add_argument("--model", choices=["monomial", "mahler"], default="monomial")
     p_i.add_argument("--curve", choices=["veronese", "line", "mahler"], default="veronese")
-    p_i.add_argument("--prime", type=int, required=True)
+    p_i.add_argument("--prime", type=_prime, required=True)
     p_i.add_argument("--degree", type=int, default=2)
     p_i.add_argument("--region", default="p1", help="p1 | zp | qp | annulus:m")
     p_i.add_argument("--ball", type=int, default=1, help="ball level for linear-lemma")

@@ -257,6 +257,7 @@ class _LiftingTree:
         self.gens = [self._drop_p_content(g, p) for g in xset.generators]
         self.grads = [g.gradient() for g in self.gens]
         self.levels = [None, {}]  # levels[m]: dict coords -> _Node
+        self.expanded = 1  # every class at a level <= this one is grown whole
         self.node_count = 0
         if proj_space_count(p, self.n, 1) > config.class_budget:
             raise BudgetExceeded("level-1 enumeration exceeds the class budget")
@@ -357,6 +358,7 @@ class _LiftingTree:
         for node in self.levels[level].values():
             if not node.settled:
                 self._grow(node)
+        self.expanded = level + 1
 
     def resolve(self, cls, cap: int):
         """Search below the class ``cls`` for its first certifying descendant.
@@ -414,9 +416,13 @@ class _LiftingTree:
             elif node.level < m:
                 stack.extend(node.children)
 
+    def _check_level(self, m: int) -> None:
+        """Levels past ``expanded`` were only searched, never grown whole."""
+        if m > self.expanded:
+            raise ValueError(f"tree expanded only to level {self.expanded}, not {m}")
+
     def count(self, m: int) -> CountResult:
-        if m > self.depth:
-            raise ValueError("tree not grown that deep")
+        self._check_level(m)
         k = self.x.dim
         certified = []
         unknown = 0
@@ -443,6 +449,7 @@ class _LiftingTree:
 
     def stabilized_at(self, m: int) -> bool:
         """Every surviving level-m class is certified with margin m >= 2w."""
+        self._check_level(m)
         for kind, node in self._walk(m):
             if kind == "class" and m < 2 * node.root_w:
                 return False

@@ -48,7 +48,7 @@ class LinearSubspace:
             row = tuple(int(x) for x in row)
             if len(row) != self.ambient + 1:
                 raise ValueError("equation length must be ambient + 1")
-            g = math.gcd(*[abs(x) for x in row if x] or [1])
+            g = math.gcd(*row)
             if g == 0:
                 raise ValueError("zero equation row")
             eqs.append(tuple(x // g for x in row))
@@ -135,6 +135,10 @@ class McConfig:
     samples: int = 20_000
     seed: int = 0
     workers: int = 1
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass

@@ -1,16 +1,13 @@
 """Exact linear algebra, all of it built on one integer determinant.
 
-``det`` is fraction-free Bareiss elimination over Z. Rational determinants,
-maximal minors, rows of inverses modulo p^m and rank tests modulo p are
-expressed through it, so each answer is the unique exact value and does not
-depend on pivot choices.
+``det`` is fraction-free Bareiss elimination over Z. Maximal minors, rows of
+inverses modulo p^m and rank tests modulo p are expressed through it, so each
+answer is the unique exact value and does not depend on pivot choices.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 
 def det(rows) -> int:
@@ -36,17 +33,6 @@ def det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rational_det(rows) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Each row is scaled by the lcm of its denominators, the integer
-    determinant is taken, and the product of the scales is divided out.
-    """
-    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    ints = [[int(x * s) for x in row] for row, s in zip(rows, scales)]
-    return Fraction(det(ints), math.prod(scales))
 
 
 def signed_maximal_minors(rows):

@@ -32,7 +32,6 @@ import struct
 from dataclasses import dataclass, field
 
 from . import linalg
-from .zp import DEFAULT_PRECISION, PadicMatrix, PadicScalar
 
 STREAM_FORMAT = 2  # recorded in every report config
 _BLOCK_BITS = 512
@@ -153,16 +152,6 @@ class DigitStream:
             self._draw(m)
         return self._value % self.p**m
 
-    def scalar(self, m: int) -> PadicScalar:
-        return PadicScalar.from_residue(self.p, self.residue(m), m)
-
-
-def sample_zp(stream: Stream, p: int, m: int = DEFAULT_PRECISION) -> PadicScalar:
-    """One uniform element of Z_p known mod p^m (extendable via the stream)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return stream.digits(p).scalar(m)
-
 
 class HaarMatrix:
     """A Haar-distributed element of GL_size(Z_p), truncated on demand.
@@ -192,19 +181,9 @@ class HaarMatrix:
     def residue_rows(self, m: int):
         return [[d.residue(m) for d in row] for row in self.entries]
 
-    def matrix(self, m: int) -> PadicMatrix:
-        return PadicMatrix.from_residues(self.p, self.residue_rows(m), m)
-
     def inverse_row(self, i: int, m: int):
         """Row i of the inverse matrix, modulo p^m."""
         return linalg.inverse_row(self.residue_rows(m), i, self.p, m)
-
-
-def sample_haar_gl(stream: Stream, p: int, size: int, m: int = DEFAULT_PRECISION) -> PadicMatrix:
-    """A matrix with the truncated Haar law on GL_size(Z_p), mod p^m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return HaarMatrix(stream, p, size).matrix(m)
 
 
 MONOMIAL = "monomial"

@@ -1,4 +1,4 @@
-"""Truncated p-adic arithmetic: scalars, vectors, matrices, norms.
+"""Truncated p-adic arithmetic: scalars, vectors, norms.
 
 A scalar is either exact (a rational stored as a Fraction, known to infinite
 precision) or an approximation p^v * u with the unit part u known modulo p^r.
@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import InsufficientPrecision, PrecisionTooLow
-
-DEFAULT_PRECISION = 8
 
 INF = math.inf
 
@@ -265,14 +262,6 @@ class PadicScalar:
         unit = self.unit_residue(rel) * unit_inv_mod(other.unit_residue(rel), self.p, rel)
         return PadicScalar.approx(self.p, v, unit, rel)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers: divide explicitly")
-        out = PadicScalar.exact(self.p, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, PadicScalar):
             return NotImplemented
@@ -303,11 +292,6 @@ class PadicScalar:
         if v == INF:
             return PNorm(Fraction(0), exact=True)
         return PNorm(Fraction(self.p) ** (-v), exact=True)
-
-
-def padic_norm(x: PadicScalar) -> PNorm:
-    """|x|_p as an exact p-power, or an upper bound for zero-at-precision."""
-    return x.norm()
 
 
 class PadicVector:
@@ -352,12 +336,6 @@ class PadicVector:
 
     def __repr__(self):
         return f"PadicVector({list(self.entries)})"
-
-    def __add__(self, other):
-        return PadicVector([a + b for a, b in zip(self.entries, other.entries, strict=True)])
-
-    def __sub__(self, other):
-        return PadicVector([a - b for a, b in zip(self.entries, other.entries, strict=True)])
 
     def scale(self, s: PadicScalar) -> "PadicVector":
         return PadicVector([s * a for a in self.entries])
@@ -404,69 +382,3 @@ def wedge_norm(a: PadicVector, b: PadicVector) -> Fraction:
         )
     return best
 
-
-class PadicMatrix:
-    """A rectangular grid of p-adic scalars."""
-
-    __slots__ = ("p", "rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise ValueError("empty matrix")
-        p = entries[0][0].p
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for e in row:
-                if e.p != p:
-                    raise ValueError("mixed primes")
-        self.p = p
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def exact(cls, p: int, rows) -> "PadicMatrix":
-        return cls([[PadicScalar.exact(p, v) for v in row] for row in rows])
-
-    @classmethod
-    def from_residues(cls, p: int, rows, abs_prec: int) -> "PadicMatrix":
-        return cls([[PadicScalar.from_residue(p, v, abs_prec) for v in row] for row in rows])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i) -> PadicVector:
-        return PadicVector(self.entries[i])
-
-    def residue_rows(self, m: int):
-        return [[e.residue(m) for e in row] for row in self.entries]
-
-
-def mat_det_valuation(mat: PadicMatrix):
-    """Valuation of det(M); INF for an exactly zero determinant.
-
-    Finite-precision entries are lifted to integers and the determinant is
-    taken exactly; the result is trusted only below the shared absolute
-    precision, otherwise InsufficientPrecision is raised.
-    """
-    if mat.rows != mat.cols:
-        raise ValueError("determinant of a non-square matrix")
-    a = min(e.abs_precision for row in mat.entries for e in row)
-    if a == INF:
-        det = linalg.rational_det([[e.exact_value() for e in row] for row in mat.entries])
-        return INF if det == 0 else vp_fraction(det, mat.p)
-    for row in mat.entries:
-        for e in row:
-            if not e.is_zero_at_precision and e.valuation < 0:
-                raise ValueError("negative-valuation entries are unsupported")
-    if a < 1:
-        raise InsufficientPrecision("no shared integral precision")
-    a = int(a)
-    det = linalg.det(mat.residue_rows(a)) % mat.p**a
-    if det == 0:
-        raise InsufficientPrecision(f"determinant vanishes mod p^{a}")
-    return vp_int(det, mat.p)

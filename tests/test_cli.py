@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from padicgeo import accept, countvol, igf
 from padicgeo.cli import ExperimentConfig, emit_report, main, parse_report
 from padicgeo.roots import RootReport
@@ -365,6 +367,25 @@ class TestUsageErrors:
         code = main(["roots", "--coeffs", "1,1", "--prime", "3", "--chart", "weird", "--no-files"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_composite_prime_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--coeffs", "1,0,-1", "--prime", "4", "--no-files"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --prime: 4 is not a prime" in captured.err
+
+    def test_workers_below_one_is_a_usage_error(self, capsys):
+        for workers in ("0", "-1"):
+            code = main(
+                ["igf", "--experiment", "expected-zeros", "--prime", "3", "--samples", "5",
+                 "--workers", workers, "--no-files"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error:") and "workers" in captured.err
 
     def test_missing_outdir_is_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
         def refuse(**kwargs):

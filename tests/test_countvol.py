@@ -303,6 +303,19 @@ class TestDemandDrivenLifting:
                 assert tree.count(level) == ref.count(level)
                 assert tree.stabilized_at(level) == ref.stabilized_at(level)
 
+    @pytest.mark.parametrize(
+        "name,p,built,read", [("two-lines", 3, 1, 3), ("two-lines", 3, 2, 3), ("nodal", 3, 2, 4)]
+    )
+    def test_levels_only_searched_cannot_be_read(self, name, p, built, read):
+        # the search grew some classes to ``read``, but not every class
+        tree = build_tree(GATE_SETS[name], p, built)
+        assert tree.depth >= read
+        with pytest.raises(ValueError):
+            tree.count(read)
+        with pytest.raises(ValueError):
+            tree.stabilized_at(read)
+        assert tree.count(built) == _full_build(GATE_SETS[name], p, built).count(built)
+
     def test_node_counts(self):
         assert build_tree(TWO_LINES, 5, 3).node_count < 2_000
         assert build_tree(NODAL_CUBIC, 3, 3).node_count < 1_000

@@ -54,6 +54,12 @@ class TestIntersectLinear:
         with pytest.raises(ValueError):
             LinearSubspace(2, [(1, 1, 1), (2, 2, 2)]).check_reduced(5)
 
+    def test_zero_equation_row_is_rejected(self):
+        with pytest.raises(ValueError, match="zero equation row"):
+            LinearSubspace(2, [(0, 0, 0)])
+        with pytest.raises(ValueError, match="zero equation row"):
+            LinearSubspace(2, [(1, 0, 0), (0, 0, 0)])
+
     def test_integer_point_lies_on_subspace(self):
         for sub in (X_LINE, LinearSubspace(2, [(1, 2, 3)]), LinearSubspace(3, [(1, 0, 0, 0), (0, 1, 1, 0)])):
             pt = sub.integer_point()

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,7 +11,6 @@ from padicgeo.linalg import (
     det,
     full_rank_mod,
     inverse_row,
-    rational_det,
     signed_maximal_minors,
 )
 
@@ -44,12 +42,6 @@ def test_det_matches_leibniz_on_integer_matrices():
     rng = random.Random(1)
     for rows in random_matrices(rng, lambda r: r.randint(-4, 4)):
         assert det(rows) == leibniz(rows)
-
-
-def test_rational_det_matches_leibniz_on_fraction_matrices():
-    rng = random.Random(2)
-    for rows in random_matrices(rng, lambda r: Fraction(r.randint(-5, 5), r.randint(1, 6))):
-        assert rational_det(rows) == leibniz(rows)
 
 
 def test_empty_determinant_is_one():

@@ -1,4 +1,4 @@
-"""Scalar/vector/matrix arithmetic: spec examples plus property suites."""
+"""Scalar/vector arithmetic: spec examples plus property suites."""
 
 import math
 from fractions import Fraction
@@ -8,15 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from padicgeo.errors import InsufficientPrecision
-from padicgeo.zp import (
-    PadicMatrix,
-    PadicScalar,
-    PadicVector,
-    mat_det_valuation,
-    padic_norm,
-    vp_int,
-    wedge_norm,
-)
+from padicgeo.zp import PadicScalar, PadicVector, vp_int, wedge_norm
 
 PRIMES = [2, 3, 5]
 M = 8  # shared working precision for the random suites
@@ -28,19 +20,19 @@ def scalar(p, n, prec=M):
 
 class TestNorm:
     def test_norm_of_six_at_three(self):
-        assert padic_norm(PadicScalar.exact(3, 6)).value == Fraction(1, 3)
+        assert PadicScalar.exact(3, 6).norm().value == Fraction(1, 3)
 
     def test_unit_norm(self):
-        n = padic_norm(PadicScalar.exact(5, 1))
+        n = PadicScalar.exact(5, 1).norm()
         assert n.value == 1 and n.exact
 
     def test_zero_at_precision_is_a_bound(self):
-        n = padic_norm(PadicScalar.zero_at(3, 4))
+        n = PadicScalar.zero_at(3, 4).norm()
         assert not n.exact
         assert n.value == Fraction(1, 81)
 
     def test_exact_zero(self):
-        n = padic_norm(PadicScalar.exact(7, 0))
+        n = PadicScalar.exact(7, 0).norm()
         assert n.exact and n.value == 0
 
 
@@ -67,22 +59,6 @@ class TestWedgeNorm:
             wedge_norm(a, b)
 
 
-class TestDetValuation:
-    def test_identity(self):
-        assert mat_det_valuation(PadicMatrix.exact(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 0
-
-    def test_diagonal(self):
-        assert mat_det_valuation(PadicMatrix.exact(3, [[1, 0], [0, 3]])) == 1
-
-    def test_exactly_singular(self):
-        assert mat_det_valuation(PadicMatrix.exact(5, [[1, 1], [1, 1]])) == math.inf
-
-    def test_residue_matrix_insufficient(self):
-        m = PadicMatrix.from_residues(3, [[1, 1], [1, 1]], 4)
-        with pytest.raises(InsufficientPrecision):
-            mat_det_valuation(m)
-
-
 @st.composite
 def residue_pair(draw):
     p = draw(st.sampled_from(PRIMES))
@@ -97,7 +73,7 @@ class TestScalarProperties:
     def test_ultrametric(self, pxy):
         p, x, y = pxy
         a, b = scalar(p, x), scalar(p, y)
-        na, nb, ns = padic_norm(a), padic_norm(b), padic_norm(a + b)
+        na, nb, ns = a.norm(), b.norm(), (a + b).norm()
         assert ns.value <= max(na.value, nb.value)
         if na.exact and nb.exact and na.value != nb.value:
             assert ns.exact and ns.value == max(na.value, nb.value)
@@ -107,9 +83,9 @@ class TestScalarProperties:
     def test_norm_multiplicative(self, pxy):
         p, x, y = pxy
         a, b = scalar(p, x), scalar(p, y)
-        na, nb = padic_norm(a), padic_norm(b)
+        na, nb = a.norm(), b.norm()
         if na.exact and nb.exact:
-            npr = padic_norm(a * b)
+            npr = (a * b).norm()
             assert npr.value == na.value * nb.value
 
     @given(residue_pair())
@@ -175,7 +151,7 @@ class TestWedgeProperties:
         coords = st.lists(st.integers(-(5**6), 5**6), min_size=3, max_size=3)
         a = PadicVector.exact(p, data.draw(coords))
         b = PadicVector.exact(p, data.draw(coords))
-        if padic_norm_nonzero(a) and padic_norm_nonzero(b):
+        if is_nonzero(a) and is_nonzero(b):
             assert wedge_norm(a, b) == wedge_norm(b, a)
             assert wedge_norm(a, a) == 0
 
@@ -187,7 +163,7 @@ class TestWedgeProperties:
         bv = data.draw(coords)
         a = PadicVector.exact(p, av)
         b = PadicVector.exact(p, bv)
-        if not (padic_norm_nonzero(a) and padic_norm_nonzero(b)):
+        if not (is_nonzero(a) and is_nonzero(b)):
             return
         for g in unimodular(p):
             ga = PadicVector.exact(p, [sum(g[i][j] * av[j] for j in range(3)) for i in range(3)])
@@ -195,7 +171,7 @@ class TestWedgeProperties:
             assert wedge_norm(ga, gb) == wedge_norm(a, b)
 
 
-def padic_norm_nonzero(v):
+def is_nonzero(v):
     n = v.norm()
     return n.exact and n.value != 0
 
