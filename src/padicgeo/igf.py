@@ -137,6 +137,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

@@ -7,7 +7,8 @@ residue roots after dividing out content. ``count_roots`` reads every
 region as a tuple of disjoint balls, each on f or on its reversal
 y^d f(1/y): Z_p is one ball, Q_p and P^1 add the ball p Z_p in y, and the
 annulus |t| = p^m is the p - 1 balls a p^m + p^(m+1) Z_p in y. One counter
-descends all of them, for exact and fixed-precision inputs alike.
+descends all of them, for exact and fixed-precision inputs alike; each
+step down to t = a + p*s is an in-place Taylor shift (``substitute_digit``).
 ``precision_ladder`` is the one schedule of precisions that callers extend
 a sampled polynomial or matrix through.
 
@@ -19,7 +20,9 @@ report Undetermined rather than guess.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import CertificationCapExceeded, ConsistencyError, IdenticallyZeroAtPrecision
@@ -123,18 +126,18 @@ def squarefree_part(coeffs):
 
 
 def substitute_digit(coeffs, a, p, shift=1, mod=None):
-    """Coefficients of f(a + p^shift * s), optionally reduced mod ``mod``."""
-    step = p**shift
-    out = [0] * len(coeffs)
-    # Horner in (a + q s): carry the polynomial in s while folding in coeffs
-    for c in reversed(coeffs):
-        prev = out[:]
-        out[0] = prev[0] * a + c
-        for k in range(1, len(out)):
-            out[k] = prev[k] * a + prev[k - 1] * step
-        if mod:
-            out = [x % mod for x in out]
-    return out
+    """Coefficients of f(a + p^shift * s), optionally reduced mod ``mod``:
+    a Taylor shift t -> t + a by synthetic division in place, coefficient k
+    times p^(shift*k), then one reduction (a ring homomorphism)."""
+    out = list(coeffs)
+    n = len(out)
+    if a:
+        for i in range(n - 1):
+            for k in range(n - 2, i - 1, -1):
+                out[k] += a * out[k + 1]
+    q = p**shift
+    out = [c * q**k for k, c in enumerate(out)]
+    return [c % mod for c in out] if mod else out
 
 
 # -- the counting recursion --------------------------------------------------
@@ -162,12 +165,11 @@ class _Counter:
         p = self.p
         if prec is INF:
             coeffs = trim(coeffs)
-            vals = [vp_int(c, p) for c in coeffs]
         else:
             q = p ** int(prec)
             coeffs = [c % q for c in coeffs]
-            vals = [vp_int(c, p) for c in coeffs]
-        content = min(vals, default=INF)
+        # v(gcd) is the least valuation; the gcd of no entries is 0, v = INF
+        content = vp_int(math.gcd(*coeffs), p)
         if content == INF or (prec is not INF and content >= prec):
             # vanishes identically as far as this precision can see
             if level == 0:
@@ -313,9 +315,7 @@ def verify_witness(p, coeffs, witness, precision=None) -> bool:
         shift=witness.level - 1,
         mod=None if precision is None else p ** int(precision),
     )
-    local = trim(local)
-    vals = [vp_int(c, p) for c in local]
-    content = min(vals)
+    content = vp_int(math.gcd(*local), p)
     if content == INF:
         return False
     h = [c // p ** int(content) for c in local]
@@ -343,10 +343,17 @@ def mahler_power_basis(d: int):
     return rows
 
 
+@functools.cache
+def _mahler_columns(d: int):
+    """Columns j = 0..d of ``mahler_power_basis(d)``, built once per degree."""
+    return tuple(zip(*mahler_power_basis(d)))
+
+
 def power_coeffs_from_mahler(zeta, d):
     """Integer power-basis coefficients of d! * sum_k zeta_k C(t,k)."""
-    basis = mahler_power_basis(d)
-    return [sum(z * basis[k][j] for k, z in enumerate(zeta)) for j in range(d + 1)]
+    if len(zeta) > d + 1:
+        raise ValueError(f"{len(zeta)} Mahler coefficients exceed degree {d}")
+    return [sum(map(operator.mul, zeta, column)) for column in _mahler_columns(d)]
 
 
 def adaptive_count(poly, region="p1") -> RootReport:

@@ -66,6 +66,13 @@ def _layout(p: int):
     return k, q, (2**_BLOCK_BITS // q) * q
 
 
+@functools.lru_cache(maxsize=1024)
+def _str_code(label: str) -> bytes:
+    """Code of a str label, memoised; bounded, since any string can be a label."""
+    data = label.encode()
+    return b"s%d:%b" % (len(data), data)
+
+
 def _encode_labels(labels) -> bytes:
     """Type-tagged, length-prefixed labels: an injective, prefix-free code."""
     parts = []
@@ -74,8 +81,7 @@ def _encode_labels(labels) -> bytes:
         if kind is int:
             parts.append(b"i%d;" % label)
         elif kind is str:
-            data = label.encode()
-            parts.append(b"s%d:%b" % (len(data), data))
+            parts.append(_str_code(label))
         elif kind is tuple:
             parts.append(b"t%d:%b" % (len(label), _encode_labels(label)))
         else:

@@ -387,6 +387,17 @@ class TestUsageErrors:
             assert captured.out == ""
             assert captured.err.startswith("usage error:") and "workers" in captured.err
 
+    def test_samples_below_one_is_a_usage_error(self, capsys):
+        for samples in ("0", "-5"):
+            code = main(
+                ["igf", "--experiment", "expected-zeros", "--prime", "3", "--samples", samples,
+                 "--no-files"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error:") and "samples" in captured.err
+
     def test_missing_outdir_is_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
         def refuse(**kwargs):
             raise RuntimeError("the criteria ran")

@@ -1,5 +1,7 @@
 """Intersection ops and Monte Carlo estimators at module-test scale."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -232,6 +234,66 @@ class TestExpectedZeros:
         a = mc_expected_zeros(RandomPolyModel("monomial", 2, 3), "p1", cfg)
         b = mc_expected_zeros(RandomPolyModel("monomial", 2, 3), "p1", cfg)
         assert (a.mean, a.stderr, a.n_samples) == (b.mean, b.stderr, b.n_samples)
+
+
+# The mc-zeros benchmark cells (model, d, p, region) and the two curve cells
+# of mc-haar at p = 3, each with 200 samples and its own seed. The pins are
+# byte-for-byte outputs of the estimators: a kernel rewrite that changes any
+# digit of any report fails here.
+PINNED_ZEROS_CELLS = (
+    ("monomial", 2, 3, "p1"),
+    ("monomial", 3, 3, "p1"),
+    ("monomial", 5, 2, "p1"),
+    ("monomial", 7, 5, "p1"),
+    ("mahler", 3, 3, "zp"),
+    ("mahler", 7, 3, "zp"),
+    ("mahler", 4, 2, "zp"),
+    ("mahler", 3, 3, "annulus:1"),
+    ("mahler", 7, 3, "qp"),
+)
+PINNED_CURVE_CELLS = ((CURVE_STANDARD, 2), (CURVE_MAHLER, 3))
+# (mean, stderr) of each cell, in the order above; every cell has 200
+# samples, none excluded, and passes
+PINNED_MEANS = (
+    ("1.27", "0.0682553585431"),
+    ("1.08", "0.0673847424688"),
+    ("0.975", "0.0643629391785"),
+    ("1.005", "0.0655466000943"),
+    ("2.28", "0.078988581326"),
+    ("2.26", "0.102785330279"),
+    ("2.63", "0.108971897166"),
+    ("0.04", "0.0138911779242"),
+    ("2.475", "0.103199445871"),
+    ("1", "0.0708881205008"),
+    ("2.225", "0.0840069092636"),
+)
+# BLAKE2b-128 of the eleven report dicts, JSON with sorted keys
+PINNED_DIGEST = "08b8a3f8b7f779f1136d48848b486491"
+
+
+class TestPinnedReports:
+    def test_reports_are_byte_identical(self):
+        reports = [
+            mc_expected_zeros(
+                RandomPolyModel(model, d, p),
+                region,
+                McConfig(samples=200, seed=100 + i, workers=2),
+            ).as_report_dict("expected-zeros")
+            for i, (model, d, p, region) in enumerate(PINNED_ZEROS_CELLS)
+        ]
+        reports += [
+            mc_igf_curve(3, curve, d, McConfig(samples=200, seed=200 + i)).as_report_dict(
+                "igf-curve"
+            )
+            for i, (curve, d) in enumerate(PINNED_CURVE_CELLS)
+        ]
+        got = [(r["mean"], r["stderr"]) for r in reports]
+        assert got == list(PINNED_MEANS)
+        assert all(
+            (r["n_samples"], r["excluded"], r["pass"]) == (200, 0, True) for r in reports
+        )
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.blake2b(blob, digest_size=16).hexdigest() == PINNED_DIGEST
 
 
 class TestDensity:

@@ -19,8 +19,10 @@ from padicgeo.roots import (
     count_roots_qp,
     count_roots_zp,
     mahler_power_basis,
+    power_coeffs_from_mahler,
     precision_ladder,
     squarefree_part,
+    substitute_digit,
     verify_witness,
 )
 from padicgeo.zp import vp_int
@@ -163,6 +165,10 @@ class TestZpExamples:
         r = count_roots_zp(p, coeffs)
         assert (r.count, r.status) == (2, EXACT)
         assert all(verify_witness(p, coeffs, w) for w in r.witnesses)
+
+    def test_witness_check_on_a_ball_zero_at_precision_is_false(self):
+        # f(2s) = 8s + 24s^2 + 56s^3 vanishes mod 2^3: nothing can be checked
+        assert verify_witness(2, [0, 4, 6, 7, 0], Witness(0, 2), precision=3) is False
 
 
 class TestP1Examples:
@@ -313,6 +319,53 @@ def test_mahler_power_basis_values():
         for t in range(0, 8):
             val = sum(c * t**j for j, c in enumerate(basis[k]))
             assert val == fact * math.comb(t, k)
+
+
+def _naive_substitute(coeffs, a, p, shift, mod):
+    """sum_i c_i (a + p^shift s)^i expanded term by term with math.comb."""
+    q = p**shift
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for k in range(i + 1):
+            out[k] += c * math.comb(i, k) * a ** (i - k) * q**k
+    return [x % mod for x in out] if mod else out
+
+
+def test_substitute_digit_matches_the_binomial_expansion():
+    rng = random.Random(2024)
+    cases = [
+        ([5], 0, 3, 0, None),
+        ([-7], 4, 2, 3, 2**5),
+        ([1, -2, 3], 0, 5, 0, None),
+        ([0, 0, -1], 0, 7, 2, 7**3),
+        ([-4, 9, -1, 2], 13, 3, 0, None),
+        ([], 2, 3, 1, None),
+    ]
+    for _ in range(600):
+        p = rng.choice((2, 3, 5, 7))
+        coeffs = [rng.randint(-(p**6), p**6) for _ in range(rng.randint(1, 9))]
+        a = rng.choice((0, rng.randrange(p**3)))
+        mod = rng.choice((None, p ** rng.randint(1, 12)))
+        cases.append((coeffs, a, p, rng.randint(0, 4), mod))
+    for coeffs, a, p, shift, mod in cases:
+        got = substitute_digit(coeffs, a, p, shift=shift, mod=mod)
+        assert got == _naive_substitute(coeffs, a, p, shift, mod), (coeffs, a, p, shift, mod)
+
+
+def test_power_coeffs_from_mahler_evaluates_the_binomial_sum():
+    rng = random.Random(7)
+    for d in range(9):
+        fact = math.factorial(d)
+        for _ in range(20):
+            zeta = [rng.randint(-(3**8), 3**8) for _ in range(d + 1)]
+            coeffs = power_coeffs_from_mahler(zeta, d)
+            assert len(coeffs) == d + 1
+            # d + 1 points determine a polynomial of degree d
+            for t in range(d + 3):
+                want = fact * sum(z * math.comb(t, k) for k, z in enumerate(zeta))
+                assert sum(c * t**j for j, c in enumerate(coeffs)) == want
+    with pytest.raises(ValueError):
+        power_coeffs_from_mahler([1, 2, 3], 1)
 
 
 def test_squarefree_part_is_primitive():

@@ -74,6 +74,17 @@ class TestStream:
     def test_tuple_label_differs_from_its_text(self):
         assert Stream(1).child(("a", 1)).key != Stream(1).child("('a', 1)").key
 
+    def test_label_types_stay_strict_after_caching(self):
+        class S(str):
+            pass
+
+        s = Stream(1)
+        first = s.child("a").key, s.child(1).key
+        for label in (True, 1.0, S("a")):
+            with pytest.raises(TypeError):
+                s.child(label)
+        assert (s.child("a").key, s.child(1).key) == first
+
     def test_seed_outside_64_bits_is_rejected(self):
         Stream(0)
         Stream(2**64 - 1)
