@@ -41,7 +41,7 @@ from .sample import (
     sample_poly,
 )
 from .veronese import VeroneseMap, arc_length, isometry_check, mahler_jacobian_norm
-from .zp import PadicScalar, PadicVector, wedge_norm
+from .zp import wedge_norm
 
 __version__ = "0.1.0"
 
@@ -54,8 +54,6 @@ __all__ = [
     "LinearSubspace",
     "McConfig",
     "McReport",
-    "PadicScalar",
-    "PadicVector",
     "ProjPoint",
     "RandomPolyModel",
     "ResidueProjPoint",

@@ -1,9 +1,9 @@
 """Projective points over Q_p and over Z/p^m: metric, reduction, enumeration.
 
-A point of P^n is held as a sphere-normalized representative (sup-norm
-exactly 1). Its reduction mod p^m is put in canonical form by scaling the
-first unit coordinate to 1, which makes residue-point equality a plain
-tuple comparison.
+A point of P^n is held as an exact rational representative on the unit
+sphere (sup norm exactly 1). Its reduction mod p^m is put in canonical form
+by scaling the first unit coordinate to 1, which makes residue-point
+equality a plain tuple comparison.
 """
 
 from __future__ import annotations
@@ -14,46 +14,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainViolation, PrecisionTooLow
-from .zp import PadicScalar, PadicVector, unit_inv_mod, wedge_norm
+from .zp import fraction_residue, unit_inv_mod, vp_fraction, wedge_norm
 
 ENUMERATION_BUDGET = 10**7
 
 
+@dataclass(frozen=True)
 class ProjPoint:
-    """A point of P^n with a sphere-normalized coordinate representative."""
+    """A point of P^n held by its exact representative on the unit sphere.
 
-    __slots__ = ("coords", "p")
+    ``coords`` may be any integers or rationals, not all zero; they are
+    scaled by p^-v, v their least valuation, so the stored ``Fraction``
+    coordinates have sup norm exactly 1.
+    """
 
-    def __init__(self, coords: PadicVector):
-        n = coords.norm()
-        if not n.exact or n.value == 0:
-            raise ValueError("representative is zero at its precision")
-        if n.value != 1:
-            # scale by p^{-min valuation} onto the unit sphere
-            v = min(e.valuation for e in coords)
-            unit = PadicScalar.exact(coords.p, Fraction(coords.p) ** (-v))
-            coords = coords.scale(unit)
-        self.coords = coords
-        self.p = coords.p
+    p: int
+    coords: tuple
 
-    @classmethod
-    def exact(cls, p: int, values) -> "ProjPoint":
-        return cls(PadicVector.exact(p, values))
-
-    @classmethod
-    def from_residues(cls, p: int, residues, abs_prec: int) -> "ProjPoint":
-        return cls(PadicVector.from_residues(p, residues, abs_prec))
+    def __post_init__(self):
+        coords = tuple(Fraction(c) for c in self.coords)
+        if not any(coords):
+            raise ValueError("the zero vector is not a projective point")
+        v = min(vp_fraction(c, self.p) for c in coords if c != 0)
+        if v != 0:
+            scale = Fraction(self.p) ** -v
+            coords = tuple(c * scale for c in coords)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dim(self) -> int:
-        return self.coords.dim - 1
-
-    @property
-    def abs_precision(self):
-        return min(e.abs_precision for e in self.coords)
-
-    def __repr__(self):
-        return f"ProjPoint({list(self.coords.entries)})"
+        return len(self.coords) - 1
 
     def reduce_mod(self, m: int) -> "ResidueProjPoint":
         return reduce_mod(self, m)
@@ -65,7 +55,7 @@ def proj_distance(x: ProjPoint, y: ProjPoint) -> Fraction:
         raise ValueError("mixed primes")
     if x.dim != y.dim:
         raise ValueError("ambient dimensions differ")
-    return wedge_norm(x.coords, y.coords)
+    return wedge_norm(x.coords, y.coords, x.p)
 
 
 @dataclass(frozen=True)
@@ -118,9 +108,9 @@ def reduce_mod(x: ProjPoint, m: int) -> ResidueProjPoint:
     """Reduction of x modulo p^m, in canonical form."""
     if m < 1:
         raise ValueError("level m must be >= 1")
-    if x.abs_precision < m:
-        raise PrecisionTooLow(f"point carries precision {x.abs_precision} < {m}")
-    return ResidueProjPoint.canonical(x.p, m, [e.residue(m) for e in x.coords])
+    return ResidueProjPoint.canonical(
+        x.p, m, [fraction_residue(c, x.p, m) for c in x.coords]
+    )
 
 
 def proj_space_count(p: int, n: int, m: int) -> int:

@@ -11,13 +11,14 @@ constant on those domains, which turns arc length into a single p-power.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainViolation, IsometryViolation, NonConstantJacobian
 from .proj import ProjPoint, proj_distance
 from .sample import Stream
-from .zp import PadicVector, vp_fraction, vp_int, wedge_norm
+from .zp import sup_norm, vp_fraction, vp_int, wedge_norm
 
 STANDARD = "standard"
 MAHLER_AFFINE = "mahler-affine"
@@ -57,6 +58,10 @@ class VeroneseMap:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind != STANDARD and self.n != 1:
             raise ValueError("binomial-basis maps are univariate")
+        if self.n < 1:
+            raise ValueError("source dimension n must be >= 1")
+        if self.d < 1:
+            raise ValueError("degree d must be >= 1")
 
 
 def binomials(t, d: int) -> list:
@@ -78,25 +83,13 @@ def binomial_derivatives(t, d: int) -> list:
     return out
 
 
-def _sup_norm(p: int, values) -> Fraction:
-    """max |c|_p over the entries; 0 when every entry is 0."""
-    vals = [vp_fraction(c, p) for c in values if c != 0]
-    return Fraction(p) ** -min(vals) if vals else Fraction(0)
-
-
 def eval_standard(vmap: VeroneseMap, point: ProjPoint) -> ProjPoint:
     """Image of a projective point under the monomial embedding."""
-    coords = point.coords
-    out = []
-    for exps in monomial_exponents(vmap.n, vmap.d):
-        term = None
-        for x, e in zip(coords.entries, exps):
-            for _ in range(e):
-                term = x if term is None else term * x
-        if term is None:  # d = 0 cannot happen; guard for clean errors
-            raise ValueError("degree must be positive")
-        out.append(term)
-    return ProjPoint(PadicVector(out))
+    out = [
+        math.prod(x**e for x, e in zip(point.coords, exps))
+        for exps in monomial_exponents(vmap.n, vmap.d)
+    ]
+    return ProjPoint(point.p, out)
 
 
 def eval_mahler_affine(d: int, t, p: int | None = None):
@@ -133,7 +126,7 @@ def mahler_jacobian_norm(p: int, d: int, a) -> Fraction:
     a = Fraction(a)
     if vp_fraction(a, p) < 0:
         raise DomainViolation("a must lie in Z_p")
-    value = _sup_norm(p, binomial_derivatives(a, d))
+    value = sup_norm(binomial_derivatives(a, d), p)
     expected = Fraction(p) ** floor_log(p, d)
     if value != expected:
         raise NonConstantJacobian(f"|J| = {value}, closed form {expected}")
@@ -154,7 +147,7 @@ def mahler_extended_jacobian_norm(p: int, d: int, t) -> Fraction:
     if d < 1:
         raise ValueError("d must be >= 1")
     c, dc = binomials(t, d), binomial_derivatives(t, d)
-    value = _sup_norm(p, [(dj * c[d] - cj * dc[d]) / c[d] ** 2 for cj, dj in zip(c, dc)])
+    value = sup_norm([(dj * c[d] - cj * dc[d]) / c[d] ** 2 for cj, dj in zip(c, dc)], p)
     expected = Fraction(p) ** (-vp_int(d, p) - 2 * m)
     if value != expected:
         raise NonConstantJacobian(f"|J| = {value}, closed form {expected}")
@@ -218,6 +211,8 @@ def isometry_check(
     distance of the argument vectors. Raises IsometryViolation with the
     offending pair; returns a summary dict when all pairs pass.
     """
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
     stream = stream or Stream(0)
     checked = 0
     for i in range(pairs):
@@ -225,8 +220,8 @@ def isometry_check(
         if vmap.kind == STANDARD:
             xv = _random_sphere_point(pair_stream.child("x"), p, vmap.n + 1)
             yv = _random_sphere_point(pair_stream.child("y"), p, vmap.n + 1)
-            x = ProjPoint.exact(p, xv)
-            y = ProjPoint.exact(p, yv)
+            x = ProjPoint(p, xv)
+            y = ProjPoint(p, yv)
             lhs = proj_distance(
                 eval_standard(vmap, x), eval_standard(vmap, y)
             )
@@ -237,10 +232,8 @@ def isometry_check(
             fs = eval_mahler_affine(vmap.d, s)
             ft = eval_mahler_affine(vmap.d, t)
             diff = [a - b for a, b in zip(fs, ft)]
-            rhs = _sup_norm(p, diff)
-            lhs = wedge_norm(
-                PadicVector.exact(p, fs), PadicVector.exact(p, ft)
-            )
+            rhs = sup_norm(diff, p)
+            lhs = wedge_norm(fs, ft, p)
         else:
             raise ValueError("isometry check supports standard and mahler-affine")
         if lhs != rhs:

@@ -437,6 +437,36 @@ class TestUsageErrors:
         assert "criterion" not in captured.out
         assert captured.err.startswith("usage error:") and "seed -1" in captured.err
 
+    def test_only_outside_the_criteria_is_rejected_before_any_criterion(self, capsys):
+        for bad in ("13", "0"):
+            code = main(["reproduce-paper", "--only", "1", bad, "--no-files"])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "criterion" not in captured.out
+            assert captured.err.startswith("usage error:") and f"criterion {bad}" in captured.err
+
+    def test_veronese_pairs_below_one_is_a_usage_error(self, capsys):
+        for pairs in ("0", "-5"):
+            code = main(
+                ["veronese", "--kind", "standard", "--d", "2", "--prime", "3",
+                 "--check", "isometry", "--pairs", pairs, "--no-files"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error:") and "pairs" in captured.err
+
+    def test_veronese_degree_or_dimension_below_one_is_a_usage_error(self, capsys):
+        for shape in (["--n", "1", "--d", "-1"], ["--n", "0", "--d", "2"]):
+            code = main(
+                ["veronese", "--kind", "standard", *shape, "--prime", "3",
+                 "--check", "isometry", "--pairs", "5", "--no-files"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error:") and ">= 1" in captured.err
+
     def test_seed_outside_64_bits_is_an_error_line(self, capsys):
         code = main(
             ["igf", "--experiment", "expected-zeros", "--prime", "3", "--samples", "5",

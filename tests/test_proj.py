@@ -18,6 +18,7 @@ from padicgeo.proj import (
     reduce_mod,
     volume_proj_space,
 )
+from padicgeo.zp import sup_norm
 
 PRIMES = [2, 3, 5]
 
@@ -48,18 +49,18 @@ def brute_force_classes(p, n, m):
 
 class TestDistance:
     def test_orthogonal_axes(self):
-        x = ProjPoint.exact(3, [1, 0])
-        y = ProjPoint.exact(3, [0, 1])
+        x = ProjPoint(3, [1, 0])
+        y = ProjPoint(3, [0, 1])
         assert proj_distance(x, y) == 1
 
     def test_small_minor(self):
-        x = ProjPoint.exact(3, [1, 0])
-        y = ProjPoint.exact(3, [1, 3])
+        x = ProjPoint(3, [1, 0])
+        y = ProjPoint(3, [1, 3])
         assert proj_distance(x, y) == Fraction(1, 3)
 
     def test_same_point(self):
-        x = ProjPoint.exact(5, [1, 2])
-        y = ProjPoint.exact(5, [2, 4])
+        x = ProjPoint(5, [1, 2])
+        y = ProjPoint(5, [2, 4])
         assert proj_distance(x, y) == 0
 
     @given(st.sampled_from(PRIMES), st.data())
@@ -73,10 +74,10 @@ class TestDistance:
         units = st.integers(1, 5**6 - 1).filter(lambda u: u % p != 0)
         ux = data.draw(units)
         uy = data.draw(units)
-        x = ProjPoint.exact(p, xv)
-        y = ProjPoint.exact(p, yv)
-        xs = ProjPoint.exact(p, [ux * c for c in xv])
-        ys = ProjPoint.exact(p, [uy * c for c in yv])
+        x = ProjPoint(p, xv)
+        y = ProjPoint(p, yv)
+        xs = ProjPoint(p, [ux * c for c in xv])
+        ys = ProjPoint(p, [uy * c for c in yv])
         assert proj_distance(x, y) == proj_distance(xs, ys)
 
     def test_rescaling_invariance_bulk(self):
@@ -90,24 +91,36 @@ class TestDistance:
                 u = rng.randrange(1, p**6)
                 while u % p == 0:
                     u = rng.randrange(1, p**6)
-                d1 = proj_distance(ProjPoint.exact(p, xv), ProjPoint.exact(p, yv))
-                d2 = proj_distance(ProjPoint.exact(p, [u * c for c in xv]), ProjPoint.exact(p, yv))
+                d1 = proj_distance(ProjPoint(p, xv), ProjPoint(p, yv))
+                d2 = proj_distance(ProjPoint(p, [u * c for c in xv]), ProjPoint(p, yv))
                 assert d1 == d2
 
 
 class TestReduction:
     def test_digit_truncation(self):
-        x = ProjPoint.exact(3, [1, 3, 9])
+        x = ProjPoint(3, [1, 3, 9])
         assert reduce_mod(x, 2).coords == (1, 3, 0)
 
     def test_scale_to_first_unit(self):
         # oracle: canonicalization must pick the representative with lead 1
-        x = ProjPoint.exact(3, [2, 1])
+        x = ProjPoint(3, [2, 1])
         r = reduce_mod(x, 1)
         assert r.coords == (1, 2)  # scaled by 2^{-1} = 2 mod 3
 
+    def test_rational_coordinates_normalize_to_the_sphere(self):
+        # [1/3 : 1] has sup norm 3 at p = 3; its representative is [1 : 3]
+        x = ProjPoint(3, [Fraction(1, 3), 1])
+        assert x.coords == (1, 3)
+        assert sup_norm(x.coords, 3) == 1
+        for m in (1, 2, 3):
+            assert reduce_mod(x, m) == reduce_mod(ProjPoint(3, [1, 3]), m)
+
+    def test_rejects_the_zero_vector(self):
+        with pytest.raises(ValueError):
+            ProjPoint(3, [0, 0])
+
     def test_rejects_level_zero(self):
-        x = ProjPoint.exact(3, [1, 0])
+        x = ProjPoint(3, [1, 0])
         with pytest.raises(ValueError):
             reduce_mod(x, 0)
 
@@ -118,7 +131,7 @@ class TestReduction:
                 vec = [rng.randrange(p**6) for _ in range(3)]
                 if all(c % p == 0 for c in vec):
                     continue
-                x = ProjPoint.exact(p, vec)
+                x = ProjPoint(p, vec)
                 r3 = reduce_mod(x, 3)
                 for m2 in (1, 2, 3):
                     assert r3.reduce(m2) == reduce_mod(x, m2)

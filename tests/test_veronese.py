@@ -31,14 +31,14 @@ from padicgeo.veronese import (
     mahler_outside_volume,
     monomial_exponents,
 )
-from padicgeo.zp import vp_fraction, vp_int
+from padicgeo.zp import sup_norm, vp_fraction, vp_int
 
 
 class TestEvaluation:
     def test_standard_on_line(self):
         v = VeroneseMap(STANDARD, 1, 2)
-        img = eval_standard(v, ProjPoint.exact(3, [1, 3]))
-        assert [e.exact_value() for e in img.coords.entries] == [1, 3, 9]
+        img = eval_standard(v, ProjPoint(3, [1, 3]))
+        assert img.coords == (1, 3, 9)
 
     def test_mahler_small_values(self):
         assert eval_mahler_affine(2, 2) == [1, 2, 1]
@@ -65,6 +65,13 @@ class TestEvaluation:
         v = VeroneseMap(MAHLER_AFFINE, 1, 2)
         assert eval_veronese(v, 2) == [1, 2, 1]
 
+    @pytest.mark.parametrize(
+        "kind,n,d", [(STANDARD, 1, 0), (STANDARD, 1, -1), (STANDARD, 0, 2), (MAHLER_AFFINE, 1, 0)]
+    )
+    def test_map_rejects_degree_or_dimension_below_one(self, kind, n, d):
+        with pytest.raises(ValueError):
+            VeroneseMap(kind, n, d)
+
     def test_monomial_order_is_lex_decreasing(self):
         assert monomial_exponents(1, 2) == [(2, 0), (1, 1), (0, 2)]
         assert monomial_exponents(2, 2)[0] == (2, 0, 0)
@@ -80,9 +87,13 @@ class TestEvaluation:
             ]
             if all(c % 3 == 0 for c in coords):
                 continue
-            img = eval_standard(v, ProjPoint.exact(3, coords))
-            n = img.coords.norm()
-            assert n.exact and n.value == 1
+            monomials = [
+                math.prod(c**e for c, e in zip(coords, exps))
+                for exps in monomial_exponents(2, 3)
+            ]
+            assert sup_norm(monomials, 3) == 1
+            # already on the sphere, so the image point keeps them unscaled
+            assert eval_standard(v, ProjPoint(3, coords)).coords == tuple(monomials)
 
 
 class TestJacobianNorms:
@@ -232,9 +243,14 @@ class TestIsometry:
         out = isometry_check(VeroneseMap(MAHLER_AFFINE, 1, 4), 2, 300, Stream(12))
         assert out == {"pairs": 300, "failures": 0}
 
+    @pytest.mark.parametrize("pairs", [0, -5])
+    def test_pairs_below_one_is_rejected(self, pairs):
+        with pytest.raises(ValueError, match="pairs"):
+            isometry_check(VeroneseMap(STANDARD, 1, 2), 3, pairs, Stream(11))
+
     def test_coincident_points(self):
         p = 3
-        x = ProjPoint.exact(p, [1, 2])
+        x = ProjPoint(p, [1, 2])
         v = VeroneseMap(STANDARD, 1, 2)
         from padicgeo.proj import proj_distance
 
