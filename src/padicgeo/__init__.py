@@ -12,7 +12,6 @@ from .igf import (
     LinearSubspace,
     McConfig,
     McReport,
-    intersect_linear,
     mc_expected_zeros,
     mc_igf_curve,
     mc_linear_lemma,
@@ -22,7 +21,6 @@ from .proj import (
     ResidueProjPoint,
     enumerate_proj,
     proj_distance,
-    reduce_mod,
     volume_proj_space,
 )
 from .roots import (
@@ -70,14 +68,12 @@ __all__ = [
     "count_roots_zp",
     "enumerate_proj",
     "estimate_volume",
-    "intersect_linear",
     "isometry_check",
     "mahler_jacobian_norm",
     "mc_expected_zeros",
     "mc_igf_curve",
     "mc_linear_lemma",
     "proj_distance",
-    "reduce_mod",
     "sample_poly",
     "volume_proj_space",
     "wedge_norm",

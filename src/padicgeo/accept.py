@@ -383,10 +383,6 @@ CRITERIA = [
 ]
 
 
-def run_criterion(index: int, seed: int = 42) -> CriterionResult:
-    return CRITERIA[index - 1](seed)
-
-
 def run_all(seed: int = 42, indices=None, progress=None):
     """Run the criteria whose 1-based index is in ``indices`` (all if empty).
 

@@ -38,10 +38,6 @@ class ExperimentConfig:
             "stream_format": STREAM_FORMAT,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(d["subcommand"], dict(d["params"]))
-
 
 def _encode(obj):
     """Make results JSON-ready: Fractions as integer pairs, floats as strings."""
@@ -64,11 +60,6 @@ def emit_report(config: ExperimentConfig, results, path) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
-
-
-def parse_report(text: str):
-    payload = json.loads(text)
-    return ExperimentConfig.from_dict(payload["config"]), payload["results"]
 
 
 def _default_outdir() -> str:
@@ -306,7 +297,9 @@ def _cmd_igf(args) -> int:
         }
     else:
         raise ValueError(f"unknown experiment {args.experiment!r}")
-    config = ExperimentConfig("igf", vars_without(args, {"func"}))
+    # where the report goes is not part of the experiment
+    skip = {"func", "outdir", "output_name", "no_files"}
+    config = ExperimentConfig("igf", {k: v for k, v in vars(args).items() if k not in skip})
     if args.output == "json":
         text = emit_report(config, report_dict, _out_path(args, "igf"))
         print(text, end="")
@@ -323,10 +316,6 @@ def _csv_cell(v):
     if isinstance(v, dict):
         return json.dumps(v, sort_keys=True)
     return v
-
-
-def vars_without(args, drop):
-    return {k: v for k, v in vars(args).items() if k not in drop and not callable(v)}
 
 
 def _cmd_reproduce(args) -> int:

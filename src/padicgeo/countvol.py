@@ -35,13 +35,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceeded,
-    ConsistencyError,
-    DimensionMismatch,
-    NotSmoothModP,
-    NotStabilized,
-)
+from .errors import BudgetExceeded, DimensionMismatch, NotStabilized
 from .linalg import det
 from .proj import ResidueProjPoint, proj_space_count, volume_proj_space
 from .zp import INF, vp_int
@@ -162,8 +156,10 @@ class AlgebraicSet:
     def __post_init__(self):
         gens = tuple(g.primitive() for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        if not gens or all(g.is_zero for g in gens):
-            raise ValueError("need at least one nonzero generator")
+        if not gens:
+            raise ValueError("need at least one generator")
+        if any(g.is_zero for g in gens):
+            raise ValueError("generators must be nonzero")
         for g in gens:
             if g.nvars != self.ambient + 1:
                 raise ValueError("generator arity must be ambient + 1")
@@ -184,7 +180,6 @@ class AlgebraicSet:
 class CountConfig:
     class_budget: int = 10**7
     extra_levels: int = 8
-    smooth_locus_only: bool = False
 
 
 @dataclass
@@ -213,10 +208,6 @@ class VolumeEstimate:
     def sequence(self) -> list:
         """(m, N_lo, N_hi) triples, one per level."""
         return [(c.level, c.n_lo, c.n_hi) for c in self.counts]
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilization_level is not None
 
 
 class _Node:
@@ -254,7 +245,7 @@ class _LiftingTree:
         self.cfg = config
         self.n = xset.ambient
         self.r = xset.codim
-        self.gens = [self._drop_p_content(g, p) for g in xset.generators]
+        self.gens = xset.generators
         self.grads = [g.gradient() for g in self.gens]
         self.levels = [None, {}]  # levels[m]: dict coords -> _Node
         self.expanded = 1  # every class at a level <= this one is grown whole
@@ -267,14 +258,6 @@ class _LiftingTree:
             if self._vanishes(pt.coords, 1):
                 lead = next(i for i, c in enumerate(pt.coords) if c % p != 0)
                 self._add_node(pt.coords, 1, lead, None)
-
-    @staticmethod
-    def _drop_p_content(g: HomogPoly, p: int) -> HomogPoly:
-        v = min(vp_int(c, p) for _, c in g.terms)
-        if v == 0:
-            return g
-        q = p ** int(v)
-        return HomogPoly(g.nvars, tuple((e, c // q) for e, c in g.terms))
 
     def _vanishes(self, coords, level) -> bool:
         q = self.p**level
@@ -428,10 +411,6 @@ class _LiftingTree:
         unknown = 0
         lo = 0
         for kind, node in self._walk(m):
-            if self.cfg.smooth_locus_only and node.level == m and node.w >= m:
-                # the class sits on the would-be singular stratum: every
-                # Jacobian minor vanishes to the class modulus
-                continue
             if kind == "settled":
                 lo += self.p ** ((m - node.level) * k)
                 if node.level == m:
@@ -508,23 +487,6 @@ def estimate_volume(
             )
     value = Fraction(base.n_lo, p ** (m0 * k))
     return VolumeEstimate(value, (value, value), m0, k, p, seq)
-
-
-def weil_special_case(xset: AlgebraicSet, p: int, config: CountConfig | None = None) -> Fraction:
-    """N_1(X) / p^k for X smooth mod p; the volume stabilizes immediately."""
-    cfg = config or CountConfig()
-    tree = _LiftingTree(xset, p, cfg)
-    bad = [n for n in tree.levels[1].values() if n.w != 0]
-    if bad:
-        raise NotSmoothModP(
-            f"{len(bad)} residue classes lack a unit Jacobian minor mod {p}"
-        )
-    n1 = len(tree.levels[1])
-    value = Fraction(n1, p**xset.dim)
-    est = estimate_volume(xset, p, 2, config)
-    if est.value != value:
-        raise ConsistencyError(f"smooth-case volume {value} != full estimate {est.value}")
-    return value
 
 
 @dataclass

@@ -9,10 +9,6 @@ class InsufficientPrecision(PadicError):
     """A quantity cannot be decided at the available working precision."""
 
 
-class PrecisionTooLow(PadicError):
-    """An operation was requested beyond the precision a value carries."""
-
-
 class BudgetExceeded(PadicError):
     """An enumeration or search exceeded its configured budget."""
 
@@ -35,10 +31,6 @@ class NotStabilized(PadicError):
 
 class ConsistencyError(PadicError):
     """Two exact computations of one quantity disagree."""
-
-
-class NotSmoothModP(PadicError):
-    """A mod-p point fails the unit-Jacobian requirement."""
 
 
 class DimensionMismatch(PadicError):

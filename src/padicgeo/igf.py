@@ -1,4 +1,4 @@
-"""Intersection counting and Monte Carlo estimators with exact targets.
+"""Monte Carlo intersection estimators with exact targets.
 
 Every estimator samples group elements or coefficients as extendable digit
 streams, computes each per-sample count by exact modular arithmetic
@@ -95,34 +95,6 @@ class LinearSubspace:
         ints = [int(x * lcm) for x in vec]
         g = math.gcd(*[abs(x) for x in ints if x])
         return tuple(x // g for x in ints)
-
-
-@dataclass
-class IntersectionResult:
-    finite: bool
-    point: tuple | None
-    transversal: bool
-
-
-def intersect_linear(subspaces, p: int) -> IntersectionResult:
-    """Intersection of linear subspaces of total codimension n in P^n.
-
-    Exact integer equations: the stacked n x (n+1) system has kernel spanned
-    by its signed maximal minors. A unit minor means the intersection is
-    transversal mod p; all minors zero means a positive-dimensional
-    intersection.
-    """
-    n = subspaces[0].ambient
-    if sum(s.codim for s in subspaces) != n:
-        raise ValueError("codimensions must sum to the ambient dimension")
-    rows = [list(r) for s in subspaces for r in s.equations]
-    minors = signed_maximal_minors(rows)
-    if all(x == 0 for x in minors):
-        return IntersectionResult(False, None, False)
-    transversal = any(x % p != 0 for x in minors)  # unit maximal minor
-    g = math.gcd(*[abs(x) for x in minors if x])
-    point = tuple(x // g for x in minors)
-    return IntersectionResult(True, point, transversal)
 
 
 # -- Monte Carlo machinery -----------------------------------------------------
@@ -501,32 +473,3 @@ def density_uniformity_test(
         excluded=excluded,
         seed=cfg.seed,
     )
-
-
-def transform_form(form, mat):
-    """Coefficients of F(a x0 + b x1, c x0 + d x1) for an integer 2x2 matrix.
-
-    Used to exercise the change-of-variables invariance of the monomial
-    model: the root-count law of F and F o g agree for g in GL_2(Z_p).
-    """
-    (a, b), (c, d) = mat
-    deg = len(form) - 1
-    out = [0] * (deg + 1)
-    for k, coeff in enumerate(form):
-        # (a x0 + b x1)^(deg-k) (c x0 + d x1)^k
-        poly = [coeff]
-        for _ in range(deg - k):
-            poly = _mul_linear(poly, a, b)
-        for _ in range(k):
-            poly = _mul_linear(poly, c, d)
-        for i, v in enumerate(poly):
-            out[i] += v
-    return out
-
-
-def _mul_linear(poly, a, b):
-    out = [0] * (len(poly) + 1)
-    for i, v in enumerate(poly):
-        out[i] += v * a
-        out[i + 1] += v * b
-    return out

@@ -1,20 +1,19 @@
-"""Projective points over Q_p and over Z/p^m: metric, reduction, enumeration.
+"""Projective points over Q_p and over Z/p^m: metric, canonical form, enumeration.
 
 A point of P^n is held as an exact rational representative on the unit
-sphere (sup norm exactly 1). Its reduction mod p^m is put in canonical form
-by scaling the first unit coordinate to 1, which makes residue-point
+sphere (sup norm exactly 1). A point of P^n(Z/p^m) is put in canonical form
+by scaling its first unit coordinate to 1, which makes residue-point
 equality a plain tuple comparison.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DomainViolation, PrecisionTooLow
-from .zp import fraction_residue, unit_inv_mod, vp_fraction, wedge_norm
+from .errors import BudgetExceeded, DomainViolation
+from .zp import vp_fraction, wedge_norm
 
 ENUMERATION_BUDGET = 10**7
 
@@ -44,9 +43,6 @@ class ProjPoint:
     @property
     def dim(self) -> int:
         return len(self.coords) - 1
-
-    def reduce_mod(self, m: int) -> "ResidueProjPoint":
-        return reduce_mod(self, m)
 
 
 def proj_distance(x: ProjPoint, y: ProjPoint) -> Fraction:
@@ -80,37 +76,8 @@ class ResidueProjPoint:
         lead = next((i for i, c in enumerate(coords) if c % p != 0), None)
         if lead is None:
             raise ValueError("no unit coordinate")
-        inv = unit_inv_mod(coords[lead], p, m)
+        inv = pow(coords[lead], -1, q)
         return cls(p, m, tuple(c * inv % q for c in coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
-    def reduce(self, m2: int) -> "ResidueProjPoint":
-        """Truncate to a coarser level."""
-        if m2 > self.m:
-            raise PrecisionTooLow("cannot refine a residue point")
-        return ResidueProjPoint.canonical(self.p, m2, self.coords)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"p": self.p, "m": self.m, "coords": list(self.coords)}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResidueProjPoint":
-        d = json.loads(text)
-        return cls.canonical(d["p"], d["m"], d["coords"])
-
-
-def reduce_mod(x: ProjPoint, m: int) -> ResidueProjPoint:
-    """Reduction of x modulo p^m, in canonical form."""
-    if m < 1:
-        raise ValueError("level m must be >= 1")
-    return ResidueProjPoint.canonical(
-        x.p, m, [fraction_residue(c, x.p, m) for c in x.coords]
-    )
 
 
 def proj_space_count(p: int, n: int, m: int) -> int:

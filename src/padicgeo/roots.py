@@ -191,9 +191,9 @@ class _Counter:
         fbar = [c % p for c in coeffs]
         dbar = [i * c % p for i, c in enumerate(fbar)][1:]
         for a in range(p):
-            if poly_eval(fbar, a, p) % p != 0:
+            if poly_eval(fbar, a, p) != 0:
                 continue
-            if poly_eval(dbar, a, p) % p != 0:
+            if poly_eval(dbar, a, p) != 0:
                 self.count += 1
                 self.witnesses.append(
                     Witness(center + p**level * a, level + 1, self.chart)

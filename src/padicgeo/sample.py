@@ -238,13 +238,3 @@ def sample_poly(model: RandomPolyModel, stream: Stream) -> SampledPoly:
         for k in range(model.n_coefficients)
     ]
     return SampledPoly(model, coeffs)
-
-
-def gl_acceptance_probability(p: int, size: int):
-    """#GL_size(F_p) / p^(size^2), the Haar rejection acceptance rate."""
-    from fractions import Fraction
-
-    count = 1
-    for k in range(size):
-        count *= p**size - p**k
-    return Fraction(count, p ** (size * size))

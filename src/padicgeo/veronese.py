@@ -22,7 +22,6 @@ from .zp import sup_norm, vp_fraction, vp_int, wedge_norm
 
 STANDARD = "standard"
 MAHLER_AFFINE = "mahler-affine"
-MAHLER_EXTENDED = "mahler-extended"
 
 
 def floor_log(p: int, d: int) -> int:
@@ -54,7 +53,7 @@ class VeroneseMap:
     d: int
 
     def __post_init__(self):
-        if self.kind not in (STANDARD, MAHLER_AFFINE, MAHLER_EXTENDED):
+        if self.kind not in (STANDARD, MAHLER_AFFINE):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind != STANDARD and self.n != 1:
             raise ValueError("binomial-basis maps are univariate")
@@ -85,6 +84,8 @@ def binomial_derivatives(t, d: int) -> list:
 
 def eval_standard(vmap: VeroneseMap, point: ProjPoint) -> ProjPoint:
     """Image of a projective point under the monomial embedding."""
+    if point.dim != vmap.n:
+        raise ValueError(f"point lies in P^{point.dim}, the map is defined on P^{vmap.n}")
     out = [
         math.prod(x**e for x, e in zip(point.coords, exps))
         for exps in monomial_exponents(vmap.n, vmap.d)
@@ -98,23 +99,6 @@ def eval_mahler_affine(d: int, t, p: int | None = None):
     if p is not None and vp_fraction(t, p) < 0:
         raise DomainViolation("affine binomial map needs |t| <= 1")
     return binomials(t, d)
-
-
-def eval_mahler_extended(d: int, t, p: int):
-    """(C(t,d)^{-1}, C(t,1) C(t,d)^{-1}, ..., 1) for |t| > 1."""
-    t = Fraction(t)
-    if vp_fraction(t, p) >= 0:
-        raise DomainViolation("extended binomial map needs |t| > 1")
-    vals = binomials(t, d)
-    return [c / vals[-1] for c in vals]
-
-
-def eval_veronese(vmap: VeroneseMap, point, p: int | None = None):
-    if vmap.kind == STANDARD:
-        return eval_standard(vmap, point)
-    if vmap.kind == MAHLER_AFFINE:
-        return eval_mahler_affine(vmap.d, point, p)
-    return eval_mahler_extended(vmap.d, point, p)
 
 
 def mahler_jacobian_norm(p: int, d: int, a) -> Fraction:
@@ -226,7 +210,7 @@ def isometry_check(
                 eval_standard(vmap, x), eval_standard(vmap, y)
             )
             rhs = proj_distance(x, y)
-        elif vmap.kind == MAHLER_AFFINE:
+        else:
             s = pair_stream.child("s").digits(p).residue(8)
             t = pair_stream.child("t").digits(p).residue(8)
             fs = eval_mahler_affine(vmap.d, s)
@@ -234,8 +218,6 @@ def isometry_check(
             diff = [a - b for a, b in zip(fs, ft)]
             rhs = sup_norm(diff, p)
             lhs = wedge_norm(fs, ft, p)
-        else:
-            raise ValueError("isometry check supports standard and mahler-affine")
         if lhs != rhs:
             raise IsometryViolation(
                 f"pair {i}: image distance {lhs} != source distance {rhs}",

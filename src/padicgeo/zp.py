@@ -1,4 +1,4 @@
-"""Exact p-adic valuations, residues and norms of integers and rationals.
+"""Exact p-adic valuations and norms of integers and rationals.
 
 Every value is a plain ``int`` or ``Fraction``, known exactly; absolute
 values are exact p-powers returned as ``Fraction``. Python integers are
@@ -29,19 +29,6 @@ def vp_fraction(q: Fraction, p: int):
     if q == 0:
         return INF
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
-
-
-def unit_inv_mod(a: int, p: int, m: int) -> int:
-    """Inverse of a unit modulo p^m."""
-    return pow(a, -1, p**m)
-
-
-def fraction_residue(q: Fraction, p: int, m: int) -> int:
-    """q mod p^m for a p-integral rational (denominator a unit)."""
-    den = q.denominator
-    if den % p == 0:
-        raise ValueError("rational is not p-integral")
-    return q.numerator * unit_inv_mod(den, p, m) % p**m
 
 
 def sup_norm(values, p: int) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from padicgeo import accept, igf
-from padicgeo.accept import CRITERIA, run_criterion
+from padicgeo.accept import CRITERIA
 from padicgeo.roots import poly_derivative, squarefree_part
 from padicgeo.zp import vp_int
 
@@ -29,7 +29,7 @@ def _report(res):
 
 @pytest.mark.parametrize("index", range(1, len(CRITERIA) + 1))
 def test_criterion(index):
-    res = run_criterion(index, seed=SEED)
+    res = CRITERIA[index - 1](SEED)
     _report(res)
     assert res.passed, f"criterion {index} failed: {res.details}"
     assert res.runtime_ok, (
@@ -49,9 +49,9 @@ def test_wrong_target_fails_its_criterion(monkeypatch):
         return mc_igf_curve
 
     monkeypatch.setattr(igf, "mc_igf_curve", estimator(igf.curve_target))
-    assert run_criterion(9, seed=SEED).passed
+    assert CRITERIA[8](SEED).passed
     monkeypatch.setattr(igf, "mc_igf_curve", estimator(lambda p, curve, d: Fraction(2)))
-    assert not run_criterion(9, seed=SEED).passed
+    assert not CRITERIA[8](SEED).passed
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
@@ -72,7 +72,7 @@ def test_criterion_seeds_wrap_into_64_bits(monkeypatch, seed):
     monkeypatch.setattr(igf, "mc_igf_curve", lambda p, curve, d, cfg: mc_report(cfg))
     monkeypatch.setattr(igf, "density_uniformity_test", density)
     for index in range(5, 11):
-        run_criterion(index, seed=seed)
+        CRITERIA[index - 1](seed)
     offsets = [5_002, 5_003, 5_005, 5_007, 6_003, 6_007, 6_004, 7_001, 7_002]
     offsets += [8_001, 8_002, 9_001, 9_002, 10_001, 10_002]
     assert seeds == [(seed + k) % 2**64 for k in offsets]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from padicgeo import accept, countvol, igf
-from padicgeo.cli import ExperimentConfig, emit_report, main, parse_report
+from padicgeo.cli import ExperimentConfig, emit_report, main
 from padicgeo.roots import RootReport
 from test_countvol import _full_build
 
@@ -301,15 +301,32 @@ class TestDeterminism:
         )
         assert json.loads(out)["config"]["params"]["seed"] == 123
 
+    def test_report_does_not_depend_on_where_it_is_written(self, capsys, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            outdir = tmp_path / name
+            outdir.mkdir()
+            code, out = run_cli(
+                ["igf", "--outdir", str(outdir), "--experiment", "curve", "--curve", "line",
+                 "--prime", "3", "--degree", "1", "--samples", "50"],
+                capsys,
+            )
+            assert code == 0
+            assert (outdir / "report-igf.json").read_text() == out
+            outs.append(out)
+        assert outs[0] == outs[1]
+        params = json.loads(outs[0])["config"]["params"]
+        assert not {"outdir", "output_name", "no_files"} & set(params)
+        assert params["experiment"] == "curve" and params["samples"] == 50
+
 
 class TestReportRoundTrip:
     def test_config_and_results_round_trip(self):
         config = ExperimentConfig("roots", {"prime": 5, "coeffs": [1, 0, -1]})
         results = {"count": 2, "status": "exact"}
-        text = emit_report(config, results, None)
-        config2, results2 = parse_report(text)
-        assert config2 == config
-        assert results2 == results
+        payload = json.loads(emit_report(config, results, None))
+        assert payload["config"] == config.to_dict()
+        assert payload["results"] == results
 
     def test_reports_record_the_stream_format(self, capsys):
         code, out = run_cli(
@@ -367,6 +384,15 @@ class TestUsageErrors:
         code = main(["roots", "--coeffs", "1,1", "--prime", "3", "--chart", "weird", "--no-files"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_zero_generator_is_a_usage_error(self, capsys):
+        code = main(
+            ["count", "--gens", "0;x2", "--prime", "3", "--level", "2", "--dim", "1", "--no-files"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "nonzero" in captured.err
 
     def test_composite_prime_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

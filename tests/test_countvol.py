@@ -15,9 +15,8 @@ from padicgeo.countvol import (
     count_points_mod,
     estimate_volume,
     parse_poly,
-    weil_special_case,
 )
-from padicgeo.errors import BudgetExceeded, NotSmoothModP, NotStabilized
+from padicgeo.errors import BudgetExceeded, NotStabilized
 from padicgeo.proj import enumerate_proj, proj_space_count, volume_proj_space
 from padicgeo.roots import count_roots_p1
 from padicgeo.zp import INF
@@ -132,6 +131,14 @@ class TestParsing:
         assert gx[1].eval_at((1, 2, 3)) == -4
         assert gx[2].eval_at((1, 2, 3)) == 1
 
+    def test_rejects_a_zero_generator(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            AlgebraicSet.from_strings(2, ["0", "x2"], dim=1)
+        with pytest.raises(ValueError, match="nonzero"):
+            AlgebraicSet.from_strings(2, ["x0 - x0"], dim=1)
+        with pytest.raises(ValueError, match="at least one"):
+            AlgebraicSet(2, (), dim=1)
+
 
 class TestConicCounts:
     def test_exact_counts_with_runtime(self):
@@ -215,18 +222,6 @@ class TestRootsModuleAgreement:
         assert est.value == count_roots_p1(p, form).count
 
 
-class TestWeil:
-    def test_conic(self):
-        assert weil_special_case(CONIC, 3) == Fraction(4, 3)
-
-    def test_line_at_five(self):
-        assert weil_special_case(LINE, 5) == Fraction(6, 5)
-
-    def test_rejects_singular_reduction(self):
-        with pytest.raises(NotSmoothModP):
-            weil_special_case(NODAL_CUBIC, 5)
-
-
 class TestDegreeBound:
     @pytest.mark.parametrize("p", [3, 5])
     def test_conic(self, p):
@@ -257,18 +252,9 @@ class TestSmoothLocus:
         with pytest.raises(NotStabilized) as exc:
             estimate_volume(NODAL_CUBIC, 5, 2, CountConfig(extra_levels=4))
         assert exc.value.estimate.sequence == [(1, 5, 5), (2, 29, 29)]
-        with pytest.raises(NotStabilized) as exc2:
-            estimate_volume(
-                NODAL_CUBIC, 5, 2, CountConfig(extra_levels=4, smooth_locus_only=True)
-            )
-        # dropping the singular-stratum class removes exactly one class per level
-        assert exc2.value.estimate.sequence == [(1, 4, 4), (2, 28, 28)]
         limit = Fraction(6, 5)
         full = [Fraction(lo, 5**m) for m, lo, _ in exc.value.estimate.sequence]
-        smooth = [Fraction(lo, 5**m) for m, lo, _ in exc2.value.estimate.sequence]
         assert abs(full[1] - limit) < abs(full[0] - limit)
-        assert abs(smooth[1] - limit) < abs(smooth[0] - limit)
-        assert abs(full[1] - smooth[1]) == Fraction(1, 25)
 
     @pytest.mark.slow
     def test_nodal_cubic_level_three(self):

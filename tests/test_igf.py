@@ -1,4 +1,4 @@
-"""Intersection ops and Monte Carlo estimators at module-test scale."""
+"""Linear subspaces and Monte Carlo estimators at module-test scale."""
 
 import hashlib
 import json
@@ -15,39 +15,19 @@ from padicgeo.igf import (
     curve_target,
     density_uniformity_test,
     expected_zeros_target,
-    intersect_linear,
     mc_expected_zeros,
     mc_igf_curve,
     mc_linear_lemma,
-    transform_form,
 )
 from padicgeo.sample import RandomPolyModel
+
+from binary_forms import transform_form
 
 X_LINE = LinearSubspace(2, [(0, 1, 0)])  # {x1 = 0}
 Y_LINE = LinearSubspace(2, [(0, 0, 1)])  # {x2 = 0}
 
 
 class TestIntersectLinear:
-    def test_generic_lines(self):
-        res = intersect_linear([X_LINE, Y_LINE], 3)
-        assert res.finite and res.transversal
-        assert res.point == (1, 0, 0)
-
-    def test_repeated_line_is_infinite(self):
-        res = intersect_linear([X_LINE, X_LINE], 3)
-        assert not res.finite
-
-    def test_tangent_mod_p_still_one_point(self):
-        a = LinearSubspace(2, [(1, 0, 0)])
-        b = LinearSubspace(2, [(1, 3, 0)])
-        res = intersect_linear([a, b], 3)
-        assert res.finite and not res.transversal
-        assert res.point == (0, 0, 1)
-
-    def test_codim_precondition(self):
-        with pytest.raises(ValueError):
-            intersect_linear([X_LINE], 3)
-
     def test_subspace_validation(self):
         with pytest.raises(ValueError):
             LinearSubspace(2, [(0, 0)])

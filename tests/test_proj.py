@@ -1,4 +1,4 @@
-"""Projective points, reduction, enumeration, volumes."""
+"""Projective points, canonical residue points, enumeration, volumes."""
 
 import random
 from fractions import Fraction
@@ -15,7 +15,6 @@ from padicgeo.proj import (
     hopf_fiber_size,
     proj_distance,
     proj_space_count,
-    reduce_mod,
     volume_proj_space,
 )
 from padicgeo.zp import sup_norm
@@ -98,13 +97,11 @@ class TestDistance:
 
 class TestReduction:
     def test_digit_truncation(self):
-        x = ProjPoint(3, [1, 3, 9])
-        assert reduce_mod(x, 2).coords == (1, 3, 0)
+        assert ResidueProjPoint.canonical(3, 2, [1, 3, 9]).coords == (1, 3, 0)
 
     def test_scale_to_first_unit(self):
         # oracle: canonicalization must pick the representative with lead 1
-        x = ProjPoint(3, [2, 1])
-        r = reduce_mod(x, 1)
+        r = ResidueProjPoint.canonical(3, 1, [2, 1])
         assert r.coords == (1, 2)  # scaled by 2^{-1} = 2 mod 3
 
     def test_rational_coordinates_normalize_to_the_sphere(self):
@@ -112,34 +109,16 @@ class TestReduction:
         x = ProjPoint(3, [Fraction(1, 3), 1])
         assert x.coords == (1, 3)
         assert sup_norm(x.coords, 3) == 1
-        for m in (1, 2, 3):
-            assert reduce_mod(x, m) == reduce_mod(ProjPoint(3, [1, 3]), m)
 
     def test_rejects_the_zero_vector(self):
         with pytest.raises(ValueError):
             ProjPoint(3, [0, 0])
 
     def test_rejects_level_zero(self):
-        x = ProjPoint(3, [1, 0])
+        with pytest.raises(ValueError, match="level"):
+            ResidueProjPoint(3, 0, (1, 0))
         with pytest.raises(ValueError):
-            reduce_mod(x, 0)
-
-    def test_reduction_tower(self):
-        rng = random.Random(11)
-        for p in PRIMES:
-            for _ in range(200):
-                vec = [rng.randrange(p**6) for _ in range(3)]
-                if all(c % p == 0 for c in vec):
-                    continue
-                x = ProjPoint(p, vec)
-                r3 = reduce_mod(x, 3)
-                for m2 in (1, 2, 3):
-                    assert r3.reduce(m2) == reduce_mod(x, m2)
-
-    def test_json_round_trip(self):
-        r = ResidueProjPoint.canonical(3, 2, [2, 4, 6])
-        assert ResidueProjPoint.from_json(r.to_json()) == r
-        assert '"p": 3' in r.to_json()
+            ResidueProjPoint.canonical(3, 0, [1, 0])
 
 
 class TestEnumeration:

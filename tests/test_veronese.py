@@ -19,9 +19,7 @@ from padicgeo.veronese import (
     binomial_derivatives,
     binomials,
     eval_mahler_affine,
-    eval_mahler_extended,
     eval_standard,
-    eval_veronese,
     floor_log,
     isometry_check,
     mahler_annulus_volume,
@@ -50,20 +48,15 @@ class TestEvaluation:
         assert vec[0] == 1
         assert all(v.denominator == 1 for v in vec)
 
-    def test_extended_map_last_coordinate_and_sphere(self):
-        vec = eval_mahler_extended(3, Fraction(2, 3), 3)
-        assert vec[-1] == 1
-        assert all(vp_fraction(c, 3) >= 0 for c in vec if c != 0)
-
     def test_extended_domain_guard(self):
-        with pytest.raises(DomainViolation):
-            eval_mahler_extended(3, 2, 3)
         with pytest.raises(DomainViolation):
             eval_mahler_affine(3, Fraction(1, 3), p=3)
 
-    def test_dispatch(self):
-        v = VeroneseMap(MAHLER_AFFINE, 1, 2)
-        assert eval_veronese(v, 2) == [1, 2, 1]
+    def test_standard_rejects_a_point_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"lies in P\^2, the map is defined on P\^1"):
+            eval_standard(VeroneseMap(STANDARD, 1, 2), ProjPoint(3, [1, 2, 3]))
+        with pytest.raises(ValueError, match=r"lies in P\^1, the map is defined on P\^2"):
+            eval_standard(VeroneseMap(STANDARD, 2, 2), ProjPoint(3, [1, 2]))
 
     @pytest.mark.parametrize(
         "kind,n,d", [(STANDARD, 1, 0), (STANDARD, 1, -1), (STANDARD, 0, 2), (MAHLER_AFFINE, 1, 0)]
