@@ -260,8 +260,8 @@ def mc_linear_lemma(
         gy = HaarMatrix(stream.child("gy"), p, n + 1)
         for digits in precision_ladder(MATRIX_DIGITS):
             q = p**digits
-            gx_inv = [gx.inverse_row(i, digits) for i in range(n + 1)]
-            gy_inv = [gy.inverse_row(i, digits) for i in range(n + 1)]
+            gx_inv = gx.inverse(digits)
+            gy_inv = gy.inverse(digits)
             rows = [
                 _matvec_mod(list(zip(*gx_inv)), e, q) for e in x.equations
             ]

@@ -1,8 +1,10 @@
 """Exact linear algebra, all of it built on one integer determinant.
 
-``det`` is fraction-free Bareiss elimination over Z. Maximal minors, rows of
-inverses modulo p^m and rank tests modulo p are expressed through it, so each
-answer is the unique exact value and does not depend on pivot choices.
+``det`` is fraction-free Bareiss elimination over Z, with closed forms for
+1 x 1 and 2 x 2 matrices. Maximal minors, inverses modulo p^m
+(``inverse_mod``) and their single rows (``inverse_row``), and rank tests
+modulo p are expressed through it, so each answer is the unique exact value
+and does not depend on pivot choices.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import itertools
 def det(rows) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(rows)
-    if n == 0:
-        return 1
+    if n <= 2:
+        if n == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        return rows[0][0] if n else 1
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -62,6 +67,21 @@ def inverse_row(rows, i: int, p: int, m: int):
     s = sum(row[i] * x for row, x in zip(rows, minors))
     inv = pow(s, -1, q)
     return [x * inv % q for x in minors]
+
+
+def inverse_mod(rows, p: int, m: int):
+    """A^{-1} modulo p^m, for a square A invertible mod p.
+
+    The signed maximal minors of the columns of A without column i are
+    (-1)^i times row i of the adjugate, and row 0 dotted with column 0 is
+    det A, a unit; the inverse is the adjugate times (det A)^{-1}, one
+    modular inverse for the whole matrix (Cramer's rule).
+    """
+    q = p**m
+    columns = list(zip(*rows))
+    adj = [signed_maximal_minors(columns[:i] + columns[i + 1 :]) for i in range(len(rows))]
+    inv = pow(sum(row[0] * x for row, x in zip(rows, adj[0])), -1, q)
+    return [[(-1) ** i * x * inv % q for x in minors] for i, minors in enumerate(adj)]
 
 
 def full_rank_mod(rows, p: int) -> bool:

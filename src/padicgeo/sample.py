@@ -4,7 +4,7 @@ Randomness is counter based, in the style of Random123 (Salmon et al.,
 SC'11): every drawn quantity is a pure function of (seed, derivation path,
 counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
 
-- A seed in [0, 2^64) keys a 32-byte stream key. ``Stream.child(*labels)``
+- An int seed in [0, 2^64) keys a 32-byte stream key. ``Stream.child(*labels)``
   keys a child with BLAKE2b over an injective encoding of the labels: each
   label carries a type tag, strings and tuples a length, so ``child("a/b")``,
   ``child("a", "b")``, ``child(1)`` and ``child("1")`` are four streams.
@@ -17,6 +17,11 @@ counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
   p^(k+1) <= 2^512 (k = 322 at p = 3, 511 at p = 2), so a block is rejected
   with probability below 1/p. Block b gives digits b*k ... b*k + k - 1,
   least significant first.
+- A Haar matrix draws its entries in rounds r = 0, 1, ...; entry (i, j) of
+  round r is the digit stream of ``child("haar", r, i, j)``. The label code
+  is concatenative, so ``HaarMatrix`` keys each entry from the code of
+  ("haar", r) joined to the code of (i, j): the same bytes, within
+  format 2.
 
 Digits are addressable: digit i depends only on (key, i // k), so reading
 digits in any order, or extending the precision of a sampled object, never
@@ -36,6 +41,7 @@ from . import linalg
 STREAM_FORMAT = 2  # recorded in every report config
 _BLOCK_BITS = 512
 _pack_counter = struct.Struct("<QQ").pack
+_blake2b = hashlib.blake2b
 
 
 def _block(key: bytes, counter: int, n: int, limit: int) -> int:
@@ -47,7 +53,7 @@ def _block(key: bytes, counter: int, n: int, limit: int) -> int:
     attempt = 0
     while True:
         r = int.from_bytes(
-            hashlib.blake2b(_pack_counter(counter, attempt), key=key, digest_size=64).digest(),
+            _blake2b(_pack_counter(counter, attempt), key=key, digest_size=64).digest(),
             "little",
         )
         if r < limit:
@@ -74,7 +80,11 @@ def _str_code(label: str) -> bytes:
 
 
 def _encode_labels(labels) -> bytes:
-    """Type-tagged, length-prefixed labels: an injective, prefix-free code."""
+    """Type-tagged, length-prefixed labels: an injective, prefix-free code.
+
+    The code of a sequence is the concatenation of the codes of its labels,
+    so ``_encode_labels(a + b) == _encode_labels(a) + _encode_labels(b)``.
+    """
     parts = []
     for label in labels:
         kind = type(label)
@@ -90,7 +100,10 @@ def _encode_labels(labels) -> bytes:
 
 
 def check_seed(seed: int) -> int:
-    """The seed itself; ValueError if it is outside [0, 2^64)."""
+    """The seed itself; TypeError unless it is an int (not a bool or float),
+    ValueError if it is outside [0, 2^64)."""
+    if type(seed) is not int:
+        raise TypeError(f"seed {seed!r} is not an int")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
     return seed
@@ -101,22 +114,26 @@ class Stream:
 
     __slots__ = ("key",)
 
-    def __init__(self, seed, key: bytes | None = None):
-        if key is not None:
-            self.key = key
-        else:
-            self.key = hashlib.blake2b(
-                struct.pack("<Q", check_seed(seed)), key=b"padicgeo", digest_size=32
-            ).digest()
+    def __init__(self, seed: int):
+        self.key = _blake2b(
+            struct.pack("<Q", check_seed(seed)), key=b"padicgeo", digest_size=32
+        ).digest()
 
     def child(self, *labels) -> "Stream":
-        data = _encode_labels(labels)
-        return Stream(None, key=hashlib.blake2b(data, key=self.key, digest_size=32).digest())
+        return self._derive(_encode_labels(labels))
+
+    def _derive(self, code: bytes) -> "Stream":
+        """The child whose labels encode to ``code``."""
+        child = Stream.__new__(Stream)
+        child.key = _blake2b(code, key=self.key, digest_size=32).digest()
+        return child
 
     def below(self, n: int, counter: int = 0) -> int:
         """Exactly uniform integer in [0, n): block ``counter`` taken mod n."""
         if not 0 < n <= 2**_BLOCK_BITS:
             raise ValueError("n must lie in [1, 2^512]")
+        if not 0 <= counter < 2**64:
+            raise ValueError(f"counter {counter} is outside [0, 2^64)")
         return _block(self.key, counter, n, (2**_BLOCK_BITS // n) * n)
 
     def digits(self, p: int) -> "DigitStream":
@@ -128,35 +145,47 @@ class DigitStream:
 
     The accepted blocks are kept as one integer, block b times p^(b*k), so a
     residue is that integer mod p^m and a block is hashed only when a digit
-    beyond the drawn ones is read.
+    beyond the ``_known`` drawn ones is read.
     """
 
-    __slots__ = ("p", "_key", "_layout", "_value", "_blocks")
+    __slots__ = ("p", "_key", "_layout", "_value", "_known")
 
     def __init__(self, p: int, stream: Stream):
         self.p = p
         self._key = stream.key
         self._layout = _layout(p)
         self._value = 0
-        self._blocks = 0
+        self._known = 0
 
     def _draw(self, m: int) -> None:
         """Draw blocks until the first m digits are known."""
         k, q, limit = self._layout
-        while self._blocks * k < m:
-            self._value += _block(self._key, self._blocks, q, limit) * q**self._blocks
-            self._blocks += 1
+        b = self._known // k
+        while self._known < m:
+            self._value += _block(self._key, b, q, limit) * q**b
+            b += 1
+            self._known += k
 
     def digit(self, i: int) -> int:
-        if i >= self._blocks * self._layout[0]:
+        if not 0 <= i < self._known:
+            if i < 0:
+                raise ValueError(f"digit index {i} is negative")
             self._draw(i + 1)
         return self._value // self.p**i % self.p
 
     def residue(self, m: int) -> int:
         """The value of the first m digits: uniform modulo p^m."""
-        if m > self._blocks * self._layout[0]:
+        if not 0 <= m <= self._known:
+            if m < 0:
+                raise ValueError(f"precision {m} is negative")
             self._draw(m)
         return self._value % self.p**m
+
+
+@functools.cache
+def _cell_codes(size: int):
+    """Label codes of the cells (i, j) of a size x size matrix, row by row."""
+    return tuple(_encode_labels((i, j)) for i in range(size) for j in range(size))
 
 
 class HaarMatrix:
@@ -170,22 +199,28 @@ class HaarMatrix:
     __slots__ = ("p", "size", "entries", "rounds")
 
     def __init__(self, stream: Stream, p: int, size: int):
+        if size < 1:
+            raise ValueError(f"matrix size must be >= 1, got {size}")
         self.p = p
         self.size = size
+        cells = _cell_codes(size)
         r = 0
         while True:
-            grid = [
-                [stream.child("haar", r, i, j).digits(p) for j in range(size)]
-                for i in range(size)
-            ]
-            if linalg.det([[d.digit(0) for d in row] for row in grid]) % p != 0:
+            head = _encode_labels(("haar", r))
+            flat = [DigitStream(p, stream._derive(head + cell)) for cell in cells]
+            low = [d.residue(1) for d in flat]
+            if linalg.det([low[i : i + size] for i in range(0, len(low), size)]) % p:
                 break
             r += 1
-        self.entries = grid
+        self.entries = [flat[i : i + size] for i in range(0, len(flat), size)]
         self.rounds = r + 1
 
     def residue_rows(self, m: int):
         return [[d.residue(m) for d in row] for row in self.entries]
+
+    def inverse(self, m: int):
+        """The inverse matrix, modulo p^m."""
+        return linalg.inverse_mod(self.residue_rows(m), self.p, m)
 
     def inverse_row(self, i: int, m: int):
         """Row i of the inverse matrix, modulo p^m."""

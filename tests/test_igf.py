@@ -250,6 +250,32 @@ PINNED_MEANS = (
 # BLAKE2b-128 of the eleven report dicts, JSON with sorted keys
 PINNED_DIGEST = "08b8a3f8b7f779f1136d48848b486491"
 
+# (x, y, h, ball_x, ball_y) of mc_linear_lemma: two lines of P^2 with balls
+# of radius 1/p, the same lines whole, and two planes of P^3 cut by a
+# hyperplane H, with a ball on the first plane only
+PINNED_LEMMA_CASES = {
+    "balls": (X_LINE, Y_LINE, None, 1, 1),
+    "lines": (X_LINE, Y_LINE, None, 0, 0),
+    "h3": (
+        LinearSubspace(3, [(0, 1, 0, 0)]),
+        LinearSubspace(3, [(0, 0, 1, 0)]),
+        LinearSubspace(3, [(1, 1, 1, 1)]),
+        1,
+        0,
+    ),
+}
+PINNED_LEMMA_CELLS = tuple((p, case) for p in (2, 3) for case in ("balls", "lines", "h3"))
+PINNED_LEMMA_MEANS = (
+    ("0.13", "0.0238399183837"),
+    ("1", "0"),
+    ("0.19", "0.0278094738205"),
+    ("0.05", "0.015449707678"),
+    ("1", "0"),
+    ("0.085", "0.0197693992253"),
+)
+# BLAKE2b-128 of the six report dicts, JSON with sorted keys
+PINNED_LEMMA_DIGEST = "0d0e1c001c2b291806abf79899f01609"
+
 
 class TestPinnedReports:
     def test_reports_are_byte_identical(self):
@@ -274,6 +300,20 @@ class TestPinnedReports:
         )
         blob = json.dumps(reports, sort_keys=True).encode()
         assert hashlib.blake2b(blob, digest_size=16).hexdigest() == PINNED_DIGEST
+
+    def test_linear_lemma_reports_are_byte_identical(self):
+        reports = []
+        for i, (p, case) in enumerate(PINNED_LEMMA_CELLS):
+            x, y, h, ball_x, ball_y = PINNED_LEMMA_CASES[case]
+            rep = mc_linear_lemma(p, x, y, h, ball_x, ball_y, McConfig(samples=200, seed=300 + i))
+            reports.append(rep.as_report_dict("linear-lemma"))
+        got = [(r["mean"], r["stderr"]) for r in reports]
+        assert got == list(PINNED_LEMMA_MEANS)
+        assert all(
+            (r["n_samples"], r["excluded"], r["pass"]) == (200, 0, True) for r in reports
+        )
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.blake2b(blob, digest_size=16).hexdigest() == PINNED_LEMMA_DIGEST
 
 
 class TestDensity:

@@ -10,6 +10,7 @@ from padicgeo.igf import LinearSubspace
 from padicgeo.linalg import (
     det,
     full_rank_mod,
+    inverse_mod,
     inverse_row,
     signed_maximal_minors,
 )
@@ -46,6 +47,30 @@ def test_det_matches_leibniz_on_integer_matrices():
 
 def test_empty_determinant_is_one():
     assert det([]) == 1
+
+
+def test_closed_form_small_determinants_match_leibniz():
+    # every 1 x 1 and 2 x 2 matrix with entries in [-2, 2], as lists and tuples
+    for a in range(-3, 4):
+        assert det([[a]]) == det(((a,),)) == a
+    for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
+        rows = [[a, b], [c, d]]
+        assert det(rows) == det(((a, b), (c, d))) == leibniz(rows)
+    # full_rank_mod hands det tuples of column tuples
+    assert det(tuple(zip((3, -7), (2**70, 5)))) == 15 + 7 * 2**70
+
+
+def test_inverse_mod_is_the_rows_of_inverse_row():
+    rng = random.Random(4)
+    for p, m, n in itertools.product((2, 3, 5), (1, 5), (1, 2, 3, 4)):
+        q = p**m
+        rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        while det(rows) % p == 0:
+            rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        inv = inverse_mod(rows, p, m)
+        assert inv == [inverse_row(rows, i, p, m) for i in range(n)]
+        prod = [[sum(rows[i][k] * inv[k][j] for k in range(n)) % q for j in range(n)] for i in range(n)]
+        assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_signed_maximal_minors_span_the_kernel():

@@ -1,6 +1,7 @@
 """Randomness: determinism, digit extension, uniformity, Haar law."""
 
 import itertools
+import math
 
 import pytest
 from scipy.stats import chi2_contingency, chisquare
@@ -11,8 +12,30 @@ from padicgeo.sample import (
     HaarMatrix,
     RandomPolyModel,
     Stream,
+    _encode_labels,
+    check_seed,
     sample_poly,
 )
+
+
+def reference_haar(stream, p, size):
+    """(entries, rounds) of a Haar draw, built from ``child("haar", r, i, j)``
+    with a Leibniz determinant mod p."""
+    r = 0
+    while True:
+        grid = [
+            [stream.child("haar", r, i, j).digits(p) for j in range(size)]
+            for i in range(size)
+        ]
+        low = [[d.digit(0) for d in row] for row in grid]
+        det = sum(
+            (-1) ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+            * math.prod(low[i][perm[i]] for i in range(size))
+            for perm in itertools.permutations(range(size))
+        )
+        if det % p:
+            return grid, r + 1
+        r += 1
 
 
 def brute_force_gl_count(p, size):
@@ -90,6 +113,31 @@ class TestStream:
             with pytest.raises(ValueError):
                 Stream(seed)
 
+    def test_seed_must_be_an_int(self):
+        # True == 1 and 1.0 == 1, but neither may key the stream of seed 1
+        for seed in (True, False, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                Stream(seed)
+            with pytest.raises(TypeError):
+                check_seed(seed)
+        assert check_seed(1) == 1
+
+    def test_label_code_is_concatenative(self):
+        labels = ("haar", 0, 1, -2, "", "a/b", ("a", 1), (), (("x",), 3), 2**70)
+        for cut in range(len(labels) + 1):
+            a, b = labels[:cut], labels[cut:]
+            assert _encode_labels(a + b) == _encode_labels(a) + _encode_labels(b)
+        for r, i, j in itertools.product(range(3), range(4), range(4)):
+            key = Stream(5)._derive(_encode_labels(("haar", r)) + _encode_labels((i, j))).key
+            assert key == Stream(5).child("haar", r, i, j).key
+
+    def test_below_rejects_a_counter_outside_64_bits(self):
+        s = Stream(9)
+        assert 0 <= s.below(7, 2**64 - 1) < 7
+        for counter in (-1, 2**64):
+            with pytest.raises(ValueError, match="counter"):
+                s.below(7, counter)
+
     def test_below_is_uniform_and_exact(self):
         s = Stream(9)
         vals = [s.child(i).below(7) for i in range(700)]
@@ -136,6 +184,24 @@ class TestBlocks:
         assert pval > 1e-4
 
 
+class TestIndexChecks:
+    @pytest.mark.parametrize("drawn", (0, 1, 400))
+    def test_negative_digit_and_precision_are_rejected(self, drawn):
+        d = Stream(4).child("x").digits(3)
+        d.residue(drawn)
+        with pytest.raises(ValueError):
+            d.digit(-1)
+        with pytest.raises(ValueError):
+            d.residue(-2)
+        assert d.residue(0) == 0
+        assert d.digit(0) == d.residue(1)
+
+    def test_haar_matrix_needs_a_positive_size(self):
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="size"):
+                HaarMatrix(Stream(1), 3, size)
+
+
 class TestSampleZp:
     def test_residue_range_and_precision(self):
         x = Stream(2).child("s").digits(3)
@@ -166,6 +232,31 @@ class TestHaar:
         for seed in range(20):
             g = HaarMatrix(Stream(seed), 3, 2)
             assert linalg.det(g.residue_rows(4)) % 3 != 0
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_entries_and_rounds_match_the_child_labels(self, p):
+        for seed, size in itertools.product(range(100), range(1, 5)):
+            stream = Stream(seed).child("oracle")
+            g = HaarMatrix(stream, p, size)
+            grid, rounds = reference_haar(stream, p, size)
+            assert g.rounds == rounds
+            assert g.residue_rows(40) == [[d.residue(40) for d in row] for row in grid]
+
+    @pytest.mark.parametrize(
+        "size,p,m", list(itertools.product((1, 2, 3, 4), (2, 3, 5), (1, 6, 24)))
+    )
+    def test_inverse_is_the_rows_of_inverse_row(self, size, p, m):
+        q = p**m
+        for seed in range(10):
+            g = HaarMatrix(Stream(seed), p, size)
+            inv = g.inverse(m)
+            assert inv == [g.inverse_row(i, m) for i in range(size)]
+            rows = g.residue_rows(m)
+            prod = [
+                [sum(rows[i][k] * inv[k][j] for k in range(size)) % q for j in range(size)]
+                for i in range(size)
+            ]
+            assert prod == [[int(i == j) for j in range(size)] for i in range(size)]
 
     def test_acceptance_frequency(self):
         # rounds needed is geometric with success probability
