@@ -25,6 +25,7 @@ from .proj import ball_volume, volume_proj_space
 from .roots import (
     EXACT,
     adaptive_count,
+    annulus_level,
     count_roots_p1,
     count_roots_zp,
     power_coeffs_from_mahler,
@@ -373,14 +374,14 @@ def expected_zeros_target(kind: str, region: str, p: int, d: int) -> Fraction:
             return Fraction(1)
         if region == "zp":
             return 1 / vol_p1
-        if region.startswith("annulus"):
-            m = int(region.split(":")[1])
+        if region.startswith("annulus:"):
+            m = annulus_level(region)
             return Fraction(p**m - p ** (m - 1), p ** (2 * m)) / vol_p1
     elif kind == MAHLER:
         if region == "zp":
             return Fraction(p) ** floor_log(p, d) / vol_p1
-        if region.startswith("annulus"):
-            m = int(region.split(":")[1])
+        if region.startswith("annulus:"):
+            m = annulus_level(region)
             return dnorm / p**m * (1 - Fraction(1, p)) / (1 + Fraction(1, p))
         if region in ("qp", "p1"):
             return (Fraction(p) ** floor_log(p, d) + dnorm / p) / vol_p1

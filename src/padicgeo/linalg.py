@@ -1,7 +1,7 @@
 """Exact linear algebra, all of it built on one integer determinant.
 
 ``det`` is fraction-free Bareiss elimination over Z, with closed forms for
-1 x 1 and 2 x 2 matrices. Maximal minors, inverses modulo p^m
+matrices up to 3 x 3. Maximal minors, inverses modulo p^m
 (``inverse_mod``) and their single rows (``inverse_row``), and rank tests
 modulo p are expressed through it, so each answer is the unique exact value
 and does not depend on pivot choices.
@@ -15,7 +15,10 @@ import itertools
 def det(rows) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(rows)
-    if n <= 2:
+    if n <= 3:
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = rows
+            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if n == 2:
             (a, b), (c, d) = rows
             return a * d - b * c

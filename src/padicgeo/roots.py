@@ -76,9 +76,7 @@ def poly_eval(coeffs, x, mod=None):
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
-        if mod:
-            acc %= mod
-    return acc
+    return acc % mod if mod else acc
 
 
 def poly_derivative(coeffs):
@@ -208,6 +206,14 @@ class _Counter:
                 self.run(child, prec, depth - 1, center + p**level * a, level + 1)
 
 
+def annulus_level(region: str) -> int:
+    """The m of the region "annulus:m", |t| = p^m; ValueError unless m >= 1."""
+    m = int(region[len("annulus:"):])
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return m
+
+
 def _region_balls(p, region):
     """The balls (chart, center, level) that make up a region.
 
@@ -220,9 +226,7 @@ def _region_balls(p, region):
     if region in ("qp", "p1"):
         return (("zp", 0, 0), ("inf", 0, 1))
     if region.startswith("annulus:"):
-        m = int(region[len("annulus:"):])
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        m = annulus_level(region)
         # |t| = p^m iff y = 1/t = p^m * u with u a unit
         return tuple(("inf", a * p**m, m + 1) for a in range(1, p))
     raise ValueError(f"unknown region {region!r}")

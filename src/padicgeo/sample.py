@@ -21,7 +21,11 @@ counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
   round r is the digit stream of ``child("haar", r, i, j)``. The label code
   is concatenative, so ``HaarMatrix`` keys each entry from the code of
   ("haar", r) joined to the code of (i, j): the same bytes, within
-  format 2.
+  format 2. Coefficient k of a random polynomial is the digit stream of
+  ``child("coeff", k)``.
+- Haar entries and polynomial coefficients draw block 0 when they are
+  created, key and block in one pass (``_first_blocks``): the bytes a first
+  read of the child stream would give. Later blocks are drawn on demand.
 
 Digits are addressable: digit i depends only on (key, i // k), so reading
 digits in any order, or extending the precision of a sampled object, never
@@ -182,6 +186,24 @@ class DigitStream:
         return self._value % self.p**m
 
 
+def _first_blocks(key: bytes, head: bytes, codes, p: int):
+    """Digit streams of the children of ``key`` labelled ``head + code``, one
+    per code, each with block 0 already drawn.
+
+    Each holds the key and the block that ``Stream._derive(head + code)``
+    and its first ``residue`` would give; later blocks are drawn on demand.
+    """
+    layout = k, q, limit = _layout(p)
+    out = []
+    for code in codes:
+        d = DigitStream.__new__(DigitStream)
+        d.p, d._layout, d._known = p, layout, k
+        d._key = child = _blake2b(head + code, key=key, digest_size=32).digest()
+        d._value = _block(child, 0, q, limit)
+        out.append(d)
+    return out
+
+
 @functools.cache
 def _cell_codes(size: int):
     """Label codes of the cells (i, j) of a size x size matrix, row by row."""
@@ -206,9 +228,8 @@ class HaarMatrix:
         cells = _cell_codes(size)
         r = 0
         while True:
-            head = _encode_labels(("haar", r))
-            flat = [DigitStream(p, stream._derive(head + cell)) for cell in cells]
-            low = [d.residue(1) for d in flat]
+            flat = _first_blocks(stream.key, _encode_labels(("haar", r)), cells, p)
+            low = [d._value % p for d in flat]
             if linalg.det([low[i : i + size] for i in range(0, len(low), size)]) % p:
                 break
             r += 1
@@ -266,10 +287,16 @@ class SampledPoly:
         return [c.residue(m) for c in self.coefficients]
 
 
+@functools.cache
+def _coeff_codes(n: int):
+    """Label codes of ("coeff", k) for the coefficients k < n."""
+    return tuple(_encode_labels(("coeff", k)) for k in range(n))
+
+
 def sample_poly(model: RandomPolyModel, stream: Stream) -> SampledPoly:
-    """Draw one polynomial from the model; coefficients stay extendable."""
-    coeffs = [
-        stream.child("coeff", k).digits(model.prime)
-        for k in range(model.n_coefficients)
-    ]
-    return SampledPoly(model, coeffs)
+    """Draw one polynomial from the model; coefficients stay extendable.
+
+    Coefficient k is the digit stream of ``stream.child("coeff", k)``.
+    """
+    codes = _coeff_codes(model.n_coefficients)
+    return SampledPoly(model, _first_blocks(stream.key, b"", codes, model.prime))

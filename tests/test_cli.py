@@ -1,5 +1,6 @@
 """CLI surface: schemas, determinism, round-trip, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -384,6 +385,17 @@ class TestUsageErrors:
         code = main(["roots", "--coeffs", "1,1", "--prime", "3", "--chart", "weird", "--no-files"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_annulus_below_level_one_is_a_usage_error(self, capsys):
+        for model, region in itertools.product(("monomial", "mahler"), ("annulus:0", "annulus:-1")):
+            code = main(
+                ["igf", "--experiment", "expected-zeros", "--model", model, "--prime", "3",
+                 "--region", region, "--samples", "5", "--no-files"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "usage error: m must be >= 1\n"
 
     def test_zero_generator_is_a_usage_error(self, capsys):
         code = main(

@@ -71,6 +71,12 @@ class TestTargets:
     def test_expected_zeros_targets(self, kind, region, p, d, expected):
         assert expected_zeros_target(kind, region, p, d) == expected
 
+    @pytest.mark.parametrize("kind", ("monomial", "mahler"))
+    @pytest.mark.parametrize("region", ("annulus:0", "annulus:-1"))
+    def test_annulus_below_level_one_has_no_target(self, kind, region):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            expected_zeros_target(kind, region, 3, 3)
+
     def test_curve_targets(self):
         assert curve_target(3, CURVE_STANDARD, 2) == 1
         assert curve_target(3, CURVE_LINE, 1) == 1

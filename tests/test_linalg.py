@@ -56,8 +56,13 @@ def test_closed_form_small_determinants_match_leibniz():
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         rows = [[a, b], [c, d]]
         assert det(rows) == det(((a, b), (c, d))) == leibniz(rows)
+    # every 3 x 3 matrix with entries in [-1, 1]
+    for entries in itertools.product(range(-1, 2), repeat=9):
+        rows = [entries[0:3], entries[3:6], entries[6:9]]
+        assert det(rows) == det(tuple(rows)) == leibniz(rows)
     # full_rank_mod hands det tuples of column tuples
     assert det(tuple(zip((3, -7), (2**70, 5)))) == 15 + 7 * 2**70
+    assert det(tuple(zip((1, 0, 2**70), (0, 1, 0), (0, 0, 5)))) == 5
 
 
 def test_inverse_mod_is_the_rows_of_inverse_row():

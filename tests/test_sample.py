@@ -13,9 +13,14 @@ from padicgeo.sample import (
     RandomPolyModel,
     Stream,
     _encode_labels,
+    _layout,
     check_seed,
     sample_poly,
 )
+
+
+# A base with k = 7 digits per block, so 40 or 64 digits span several blocks.
+LARGE_P = 2**61 - 1
 
 
 def reference_haar(stream, p, size):
@@ -233,14 +238,16 @@ class TestHaar:
             g = HaarMatrix(Stream(seed), 3, 2)
             assert linalg.det(g.residue_rows(4)) % 3 != 0
 
-    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("p", (2, 3, 5, LARGE_P))
     def test_entries_and_rounds_match_the_child_labels(self, p):
         for seed, size in itertools.product(range(100), range(1, 5)):
             stream = Stream(seed).child("oracle")
             g = HaarMatrix(stream, p, size)
             grid, rounds = reference_haar(stream, p, size)
             assert g.rounds == rounds
-            assert g.residue_rows(40) == [[d.residue(40) for d in row] for row in grid]
+            # the first digit past block 0, then 40 digits
+            for m in (_layout(p)[0] + 1, 40):
+                assert g.residue_rows(m) == [[d.residue(m) for d in row] for row in grid]
 
     @pytest.mark.parametrize(
         "size,p,m", list(itertools.product((1, 2, 3, 4), (2, 3, 5), (1, 6, 24)))
@@ -322,6 +329,24 @@ class TestPolyModels:
             RandomPolyModel("gauss", 2, 3)
         with pytest.raises(ValueError):
             RandomPolyModel("monomial", 0, 3)
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_coefficients_match_the_child_labels(self, p):
+        for seed, degree in itertools.product(range(100), range(1, 8)):
+            stream = Stream(seed).child("oracle")
+            f = sample_poly(RandomPolyModel("mahler", degree, p), stream)
+            ref = [stream.child("coeff", k).digits(p) for k in range(degree + 1)]
+            for m in (40, _layout(p)[0] + 1):
+                assert f.residues(m) == [d.residue(m) for d in ref]
+
+    def test_coefficients_extend_past_the_first_block_at_a_large_base(self):
+        assert _layout(LARGE_P)[0] == 7
+        for seed in range(50):
+            stream = Stream(seed).child("oracle")
+            f = sample_poly(RandomPolyModel("monomial", 3, LARGE_P), stream)
+            ref = [stream.child("coeff", k).digits(LARGE_P) for k in range(4)]
+            assert f.residues(5) == [d.residue(5) for d in ref]
+            assert f.residues(64) == [d.residue(64) for d in ref]
 
     def test_identical_seed_identical_polys(self):
         model = RandomPolyModel("monomial", 4, 3)
