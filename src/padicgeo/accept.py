@@ -274,7 +274,10 @@ def _criterion_11(seed):
     return ok, {"rows": rows}
 
 
-def _oracle_root_count(coeffs, p, budget=400_000):
+_ORACLE_BUDGET = 400_000  # largest p^k the root-count oracle enumerates
+
+
+def _oracle_root_count(coeffs, p):
     """Certified-residue enumeration oracle (see the module test suite)."""
     from .roots import poly_derivative, squarefree_part
 
@@ -287,7 +290,7 @@ def _oracle_root_count(coeffs, p, budget=400_000):
         return None
     v = vp_int(res, p)
     k = 2 * v + 3
-    if p**k > budget:
+    if p**k > _ORACLE_BUDGET:
         return None
     # f(r) mod p^j depends only on r mod p^j, so the residues r mod p^k with
     # f(r) = 0 mod p^k are exactly the digit-by-digit extensions that vanish

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DimensionMismatch, NotStabilized
-from .linalg import det
+from .linalg import minor_valuation
 from .proj import ResidueProjPoint, proj_space_count, volume_proj_space
-from .zp import INF, vp_int
+from .zp import INF
 
 
 @dataclass(frozen=True)
@@ -266,17 +266,7 @@ class _LiftingTree:
     def _jacobian_valuation(self, coords):
         """min valuation over r x r minors of the Jacobian at the center."""
         rows = [[gp.eval_at(coords) for gp in grad] for grad in self.grads]
-        r = self.r
-        best = INF
-        for rset in itertools.combinations(range(len(rows)), r):
-            for cset in itertools.combinations(range(self.n + 1), r):
-                minor = det([[rows[i][j] for j in cset] for i in rset])
-                v = vp_int(minor, self.p)
-                if v < best:
-                    best = v
-                    if best == 0:
-                        return 0
-        return best
+        return minor_valuation(rows, self.r, self.p)
 
     def _root_target(self, node):
         """Level of the ancestor in which ``node`` certifies a zero, or None.

@@ -9,6 +9,7 @@ the precision cap are excluded and tallied; their fraction is reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from .errors import (
     IdenticallyZeroAtPrecision,
     InsufficientPrecision,
 )
-from .linalg import full_rank_mod, signed_maximal_minors
+from .linalg import minor_valuation, signed_maximal_minors
 from .proj import ball_volume, volume_proj_space
 from .roots import (
     EXACT,
@@ -65,37 +66,26 @@ class LinearSubspace:
 
     def check_reduced(self, p: int):
         """Equations must stay independent over F_p (unit elementary divisors)."""
-        if not full_rank_mod(self.equations, p):
+        if minor_valuation(self.equations, self.codim, p) != 0:
             raise ValueError(f"equations drop rank mod {p}")
 
     def integer_point(self):
-        """A primitive integer point on the subspace (first kernel vector)."""
-        rows = [[Fraction(x) for x in r] for r in self.equations]
-        cols = self.ambient + 1
-        # reduced row echelon over Q
-        pivots = []
-        r = 0
-        for c in range(cols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rows[r] = [x / rows[r][c] for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        free = next(c for c in range(cols) if c not in pivots)
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][free]
-        lcm = math.lcm(*[x.denominator for x in vec])
-        ints = [int(x * lcm) for x in vec]
-        g = math.gcd(*[abs(x) for x in ints if x])
-        return tuple(x // g for x in ints)
+        """The primitive integer point on the subspace with the shortest
+        support 0..f, its entry f positive; ValueError if there is none.
+
+        On that support the kernel is one line, spanned by the signed
+        maximal minors of any f equations cut to columns 0..f whose entry f
+        is nonzero.
+        """
+        for f in range(self.ambient + 1):
+            for sub in itertools.combinations(self.equations, f):
+                v = signed_maximal_minors([row[: f + 1] for row in sub])
+                if v[f] and all(
+                    sum(a * b for a, b in zip(row, v)) == 0 for row in self.equations
+                ):
+                    g = math.gcd(*v) if v[f] > 0 else -math.gcd(*v)
+                    return tuple(x // g for x in v) + (0,) * (self.ambient - f)
+        raise ValueError("the equations have no nonzero solution")
 
 
 # -- Monte Carlo machinery -----------------------------------------------------
@@ -216,16 +206,6 @@ def _normalize_mod(vec, p, digits):
     return [x // p**v % q for x in vec], digits - v
 
 
-def _same_class(u, c, p, level):
-    """Projective ball membership: all 2x2 minors vanish mod p^level."""
-    pl = p**level
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if (u[i] * c[j] - u[j] * c[i]) % pl:
-                return False
-    return True
-
-
 def mc_linear_lemma(
     p: int,
     x: LinearSubspace,
@@ -283,8 +263,9 @@ def mc_linear_lemma(
             uy = _normalize_mod(uy, p, zdigits)
             if ux is None or uy is None:
                 continue
-            member_x = _same_class(ux[0], cx, p, ball_x) if ball_x else True
-            member_y = _same_class(uy[0], cy, p, ball_y) if ball_y else True
+            # in the ball: every 2x2 minor of (u, centre) vanishes mod p^ball
+            member_x = not ball_x or minor_valuation([ux[0], cx], 2, p) >= ball_x
+            member_y = not ball_y or minor_valuation([uy[0], cy], 2, p) >= ball_y
             return 1.0 if (member_x and member_y) else 0.0
         return None
 
@@ -419,6 +400,9 @@ def mc_expected_zeros(
     )
 
 
+UNIFORMITY_SIGNIFICANCE = 1e-3  # chi-square p-value below which uniformity is rejected
+
+
 @dataclass
 class DensityReport:
     bins: list
@@ -429,8 +413,8 @@ class DensityReport:
     excluded: int
     seed: int
 
-    def rejects_uniformity(self, significance: float = 1e-3) -> bool:
-        return self.p_value < significance
+    def rejects_uniformity(self) -> bool:
+        return self.p_value < UNIFORMITY_SIGNIFICANCE
 
 
 def density_uniformity_test(

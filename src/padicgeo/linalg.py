@@ -1,15 +1,19 @@
 """Exact linear algebra, all of it built on one integer determinant.
 
 ``det`` is fraction-free Bareiss elimination over Z, with closed forms for
-matrices up to 3 x 3. Maximal minors, inverses modulo p^m
-(``inverse_mod``) and their single rows (``inverse_row``), and rank tests
-modulo p are expressed through it, so each answer is the unique exact value
-and does not depend on pivot choices.
+matrices up to 3 x 3. Signed maximal minors (kernel vectors), inverses
+modulo p^m (``inverse_mod``) and their single rows (``inverse_row``), and
+the least p-adic valuation of the r x r minors (``minor_valuation``: rank
+mod p, Jacobian tests, projective ball membership) are expressed through
+it, so each answer is the unique exact value and does not depend on pivot
+choices.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from .zp import INF, vp_int
 
 
 def det(rows) -> int:
@@ -47,13 +51,13 @@ def signed_maximal_minors(rows):
     """(-1)^j times the minor without column j, for an r x (r+1) matrix.
 
     The vector is orthogonal to every row (Laplace expansion), so it spans
-    the kernel whenever the rows are independent.
+    the kernel whenever the rows are independent. Each minor is ``det`` of
+    the other columns (det A^T = det A).
     """
-    cols = len(rows) + 1
-    return [
-        (-1) ** j * det([[row[c] for c in range(cols) if c != j] for row in rows])
-        for j in range(cols)
-    ]
+    columns = list(zip(*rows)) or [()]
+    minors = [det(columns[:j] + columns[j + 1 :]) for j in range(len(columns))]
+    minors[1::2] = [-x for x in minors[1::2]]
+    return minors
 
 
 def inverse_row(rows, i: int, p: int, m: int):
@@ -87,7 +91,18 @@ def inverse_mod(rows, p: int, m: int):
     return [[(-1) ** i * x * inv % q for x in minors] for i, minors in enumerate(adj)]
 
 
-def full_rank_mod(rows, p: int) -> bool:
-    """True when the r rows stay independent mod p: some r x r minor is a unit."""
-    columns = list(zip(*rows))
-    return any(det(sub) % p for sub in itertools.combinations(columns, len(rows)))
+def minor_valuation(rows, r: int, p: int):
+    """Least p-adic valuation over the r x r minors of ``rows``.
+
+    Every r-subset of rows meets every r-subset of columns; INF when every
+    minor is 0, and 0 as soon as a unit minor is found.
+    """
+    best = INF
+    for sub in itertools.combinations(rows, r):
+        for minor in itertools.combinations(list(zip(*sub)), r):
+            v = vp_int(det(minor), p)
+            if v < best:
+                if v == 0:
+                    return 0
+                best = v
+    return best

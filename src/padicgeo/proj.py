@@ -94,15 +94,15 @@ def hopf_fiber_size(p: int, m: int) -> int:
     return p**m - p ** (m - 1)
 
 
-def enumerate_proj(p: int, n: int, m: int, budget: int = ENUMERATION_BUDGET):
+def enumerate_proj(p: int, n: int, m: int):
     """Yield every point of P^n(Z/p^m) once, in canonical form.
 
     Canonical points are grouped by the index of their first unit
     coordinate: entries before it run over p*Z/p^m, the entry itself is 1,
     entries after it run over all of Z/p^m.
     """
-    if p ** (m * (n + 1)) > budget:
-        raise BudgetExceeded(f"p^(m(n+1)) = {p**(m*(n+1))} exceeds budget {budget}")
+    if p ** (m * (n + 1)) > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"p^(m(n+1)) = {p**(m*(n+1))} exceeds budget {ENUMERATION_BUDGET}")
     q = p**m
     below = range(0, q, p)  # the non-units mod p^m
     full = range(q)

@@ -11,8 +11,7 @@ counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
 - Block b of a stream is the keyed 64-byte (512-bit) BLAKE2b digest of
   (b, attempt), read little-endian, for attempt = 0, 1, ... until the value
   falls below the largest multiple of n that fits in 2^512; the accepted
-  value mod n is uniform on [0, n). ``Stream.below(n, counter)`` is block
-  ``counter`` taken mod n.
+  value mod n is uniform on [0, n).
 - A base-p digit stream takes n = p^k, with k the largest integer such that
   p^(k+1) <= 2^512 (k = 322 at p = 3, 511 at p = 2), so a block is rejected
   with probability below 1/p. Block b gives digits b*k ... b*k + k - 1,
@@ -131,14 +130,6 @@ class Stream:
         child = Stream.__new__(Stream)
         child.key = _blake2b(code, key=self.key, digest_size=32).digest()
         return child
-
-    def below(self, n: int, counter: int = 0) -> int:
-        """Exactly uniform integer in [0, n): block ``counter`` taken mod n."""
-        if not 0 < n <= 2**_BLOCK_BITS:
-            raise ValueError("n must lie in [1, 2^512]")
-        if not 0 <= counter < 2**64:
-            raise ValueError(f"counter {counter} is outside [0, 2^64)")
-        return _block(self.key, counter, n, (2**_BLOCK_BITS // n) * n)
 
     def digits(self, p: int) -> "DigitStream":
         return DigitStream(p, self)

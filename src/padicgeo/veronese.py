@@ -22,6 +22,7 @@ from .zp import sup_norm, vp_fraction, vp_int, wedge_norm
 
 STANDARD = "standard"
 MAHLER_AFFINE = "mahler-affine"
+_SAMPLE_DIGITS = 8  # base-p digits of each value the isometry check samples
 
 
 def floor_log(p: int, d: int) -> int:
@@ -175,10 +176,10 @@ def mahler_outside_volume(p: int, d: int) -> Fraction:
 # -- isometry verification ----------------------------------------------------
 
 
-def _random_sphere_point(stream: Stream, p: int, dim: int, digits: int = 8) -> list:
+def _random_sphere_point(stream: Stream, p: int, dim: int) -> list:
     for attempt in itertools.count():
         coords = [
-            stream.child("coord", attempt, i).digits(p).residue(digits)
+            stream.child("coord", attempt, i).digits(p).residue(_SAMPLE_DIGITS)
             for i in range(dim)
         ]
         if any(c % p != 0 for c in coords):
@@ -186,7 +187,7 @@ def _random_sphere_point(stream: Stream, p: int, dim: int, digits: int = 8) -> l
 
 
 def isometry_check(
-    vmap: VeroneseMap, p: int, pairs: int, stream: Stream | None = None
+    vmap: VeroneseMap, p: int, pairs: int, stream: Stream
 ) -> dict:
     """Sample point pairs and demand exact distance equality under the map.
 
@@ -197,7 +198,6 @@ def isometry_check(
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    stream = stream or Stream(0)
     checked = 0
     for i in range(pairs):
         pair_stream = stream.child("pair", i)
@@ -211,8 +211,8 @@ def isometry_check(
             )
             rhs = proj_distance(x, y)
         else:
-            s = pair_stream.child("s").digits(p).residue(8)
-            t = pair_stream.child("t").digits(p).residue(8)
+            s = pair_stream.child("s").digits(p).residue(_SAMPLE_DIGITS)
+            t = pair_stream.child("t").digits(p).residue(_SAMPLE_DIGITS)
             fs = eval_mahler_affine(vmap.d, s)
             ft = eval_mahler_affine(vmap.d, t)
             diff = [a - b for a, b in zip(fs, ft)]

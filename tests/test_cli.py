@@ -1,5 +1,6 @@
 """CLI surface: schemas, determinism, round-trip, exit codes."""
 
+import csv
 import itertools
 import json
 
@@ -260,6 +261,37 @@ class TestIgf:
         assert code == 0
         lines = (tmp_path / "report-igf.csv").read_text().splitlines()
         assert lines[0].split(",")[0] == "excluded"
+
+    def test_density_json_names_its_statistics(self, capsys):
+        args = ["igf", "--experiment", "density", "--model", "monomial", "--prime", "3"]
+        code, out = run_cli(args + ["--degree", "3", "--samples", "300", "--no-files"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert sorted(results) == [
+            "bins",
+            "chi2",
+            "excluded",
+            "experiment",
+            "n_samples",
+            "p_value",
+            "params",
+            "rejects_uniformity",
+        ]
+        assert results["chi2"] == "1.48056537102"
+        assert results["p_value"] == "0.686763041725"
+        assert results["rejects_uniformity"] is False
+        assert sum(results["bins"]) > 0
+
+    def test_density_csv_reports_a_rejection_with_exit_code_zero(self, capsys, tmp_path):
+        args = ["igf", "--outdir", str(tmp_path), "--experiment", "density", "--model", "mahler"]
+        args += ["--prime", "3", "--degree", "3", "--samples", "150", "--output", "csv"]
+        code, _ = run_cli(args, capsys)
+        assert code == 0
+        header, row = csv.reader((tmp_path / "report-igf.csv").read_text().splitlines())
+        results = dict(zip(header, row))
+        assert header == sorted(header) and "mean" not in header and "pass" not in header
+        assert float(results["p_value"]) < 1e-3 < float(results["chi2"])
+        assert results["rejects_uniformity"] == "True"
 
 
 class TestDeterminism:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,35 @@ from padicgeo.sample import RandomPolyModel
 
 from binary_forms import transform_form
 
+def rref_kernel_point(equations, cols):
+    """Reference: the kernel vector of the first free column of the reduced
+    row echelon form over Q, scaled to a primitive integer vector."""
+    rows = [[Fraction(x) for x in r] for r in equations]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = next(c for c in range(cols) if c not in pivots)
+    vec = [Fraction(0)] * cols
+    vec[free] = Fraction(1)
+    for i, c in enumerate(pivots):
+        vec[c] = -rows[i][free]
+    lcm = math.lcm(*[x.denominator for x in vec])
+    ints = [int(x * lcm) for x in vec]
+    g = math.gcd(*[abs(x) for x in ints if x])
+    return tuple(x // g for x in ints)
+
+
 X_LINE = LinearSubspace(2, [(0, 1, 0)])  # {x1 = 0}
 Y_LINE = LinearSubspace(2, [(0, 0, 1)])  # {x2 = 0}
 
@@ -41,6 +72,31 @@ class TestIntersectLinear:
             LinearSubspace(2, [(0, 0, 0)])
         with pytest.raises(ValueError, match="zero equation row"):
             LinearSubspace(2, [(1, 0, 0), (0, 0, 0)])
+
+    def test_integer_point_matches_the_row_echelon_kernel_vector(self):
+        rng = random.Random(18)
+        checked = 0
+        while checked < 5000:
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(rng.randint(1, n))]
+            for j in rng.sample(range(n + 1), rng.randint(0, n)):
+                # a zero column, or a multiple of another column
+                c, src = rng.randint(-2, 2), rng.randrange(n + 1)
+                for row in rows:
+                    row[j] = c * row[src]
+            if not all(any(row) for row in rows):
+                continue
+            sub = LinearSubspace(n, rows)
+            assert sub.integer_point() == rref_kernel_point(sub.equations, n + 1)
+            checked += 1
+
+    def test_integer_point_without_a_nonzero_solution_is_an_error(self):
+        for sub in (
+            LinearSubspace(1, [(1, 0), (1, 1)]),
+            LinearSubspace(2, [(1, 0, 0), (0, 1, 0), (1, 1, 3)]),
+        ):
+            with pytest.raises(ValueError, match="no nonzero solution"):
+                sub.integer_point()
 
     def test_integer_point_lies_on_subspace(self):
         for sub in (X_LINE, LinearSubspace(2, [(1, 2, 3)]), LinearSubspace(3, [(1, 0, 0, 0), (0, 1, 1, 0)])):

@@ -9,11 +9,12 @@ import pytest
 from padicgeo.igf import LinearSubspace
 from padicgeo.linalg import (
     det,
-    full_rank_mod,
     inverse_mod,
     inverse_row,
+    minor_valuation,
     signed_maximal_minors,
 )
+from padicgeo.zp import INF, vp_int
 
 
 def leibniz(rows):
@@ -60,7 +61,7 @@ def test_closed_form_small_determinants_match_leibniz():
     for entries in itertools.product(range(-1, 2), repeat=9):
         rows = [entries[0:3], entries[3:6], entries[6:9]]
         assert det(rows) == det(tuple(rows)) == leibniz(rows)
-    # full_rank_mod hands det tuples of column tuples
+    # minor_valuation and signed_maximal_minors hand det tuples of column tuples
     assert det(tuple(zip((3, -7), (2**70, 5)))) == 15 + 7 * 2**70
     assert det(tuple(zip((1, 0, 2**70), (0, 1, 0), (0, 0, 5)))) == 5
 
@@ -91,10 +92,30 @@ def test_inverse_row_of_a_unit():
     assert inverse_row([[3]], 0, 5, 2) == [pow(3, -1, 25)]
 
 
-def test_full_rank_mod_p():
-    assert full_rank_mod([(1, 2, 0), (1, 7, 0)], 3)
-    assert not full_rank_mod([(1, 2, 0), (1, 7, 0)], 5)
-    assert full_rank_mod([], 5)
+def test_minor_valuation_reads_rank_mod_p():
+    # the 2 x 2 minors are 5, 0 and 0
+    assert minor_valuation([(1, 2, 0), (1, 7, 0)], 2, 3) == 0
+    assert minor_valuation([(1, 2, 0), (1, 7, 0)], 2, 5) == 1
+    assert minor_valuation([], 0, 5) == 0
+
+
+def test_minor_valuation_is_the_least_valuation_of_the_minors():
+    rng = random.Random(6)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        n_rows, n_cols = rng.randint(0, 4), rng.randint(1, 4)
+        entries = (0, 1, -3, p, 2 * p, p * p)
+        rows = [[rng.choice(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(n_rows)] = [0] * n_cols
+        for r in range(min(n_rows, n_cols) + 2):
+            minors = [
+                leibniz([[rows[i][j] for j in cset] for i in rset])
+                for rset in itertools.combinations(range(n_rows), r)
+                for cset in itertools.combinations(range(n_cols), r)
+            ]
+            expected = min((vp_int(x, p) for x in minors), default=INF)
+            assert minor_valuation(rows, r, p) == expected
 
 
 def test_check_reduced_rejects_rank_drop_mod_p():

@@ -145,7 +145,7 @@ class TestEnumeration:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            list(enumerate_proj(5, 3, 3, budget=10**4))
+            list(enumerate_proj(5, 3, 3))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_hopf_fiber_sizes_exhaustive(self, m):

@@ -1,7 +1,9 @@
 """Randomness: determinism, digit extension, uniformity, Haar law."""
 
+import hashlib
 import itertools
 import math
+import struct
 
 import pytest
 from scipy.stats import chi2_contingency, chisquare
@@ -136,20 +138,6 @@ class TestStream:
             key = Stream(5)._derive(_encode_labels(("haar", r)) + _encode_labels((i, j))).key
             assert key == Stream(5).child("haar", r, i, j).key
 
-    def test_below_rejects_a_counter_outside_64_bits(self):
-        s = Stream(9)
-        assert 0 <= s.below(7, 2**64 - 1) < 7
-        for counter in (-1, 2**64):
-            with pytest.raises(ValueError, match="counter"):
-                s.below(7, counter)
-
-    def test_below_is_uniform_and_exact(self):
-        s = Stream(9)
-        vals = [s.child(i).below(7) for i in range(700)]
-        assert set(vals) <= set(range(7))
-        _, pval = chisquare([vals.count(i) for i in range(7)])
-        assert pval > 1e-4
-
 
 def digits_per_block(p):
     """k of stream format 2: the largest k with p^(k+1) <= 2^512 (322 at p = 3)."""
@@ -173,9 +161,18 @@ class TestBlocks:
         late = Stream(8).child("boundary", p).digits(p)
         assert [late.digit(i) for i in (k, k - 1, 0)] == [d.digit(i) for i in (k, k - 1, 0)]
         assert late.residue(k + 1) == values[3]
-        # block 1 is Stream.below(p^k, counter=1)
-        stream = Stream(8).child("boundary", p)
-        assert values[-1] // p**k % p**k == stream.below(p**k, counter=1)
+        # block 1 is the keyed digest of (1, attempt) for the first attempt
+        # below the largest multiple of p^k under 2^512, taken mod p^k
+        q = p**k
+        key = Stream(8).child("boundary", p).key
+        for attempt in itertools.count():
+            block = int.from_bytes(
+                hashlib.blake2b(struct.pack("<QQ", 1, attempt), key=key, digest_size=64).digest(),
+                "little",
+            )
+            if block < 2**512 // q * q:
+                break
+        assert values[-1] // q % q == block % q
 
     def test_digits_on_both_sides_of_the_boundary_are_uniform(self):
         p = 3
