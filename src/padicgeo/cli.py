@@ -3,9 +3,9 @@
 Reports are bit-stable: keys are sorted, exact rationals appear as
 {"num": ..., "den": ...} integer pairs, statistical quantities are decimal
 strings with 12 significant digits, and no wall-clock values are written.
-The full experiment configuration is embedded verbatim in every report,
-together with the stream format (``sample.STREAM_FORMAT``) that fixes what a
-seed draws.
+Every report's config holds the subcommand, the options that shaped the run
+(an option the run never read is left out) and the stream format
+(``sample.STREAM_FORMAT``) that fixes what a seed draws.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import accept, countvol, igf, roots, veronese
@@ -24,19 +23,25 @@ from .errors import NotStabilized, PadicError
 from .sample import STREAM_FORMAT, RandomPolyModel, Stream, check_seed
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything needed to rerun an experiment, embedded in its report."""
+# the options each igf experiment reads, besides the ones every igf run records
+_IGF_COMMON = ("experiment", "samples", "seed", "workers", "output")
+_IGF_OPTIONS = {
+    "linear-lemma": ("prime", "ball"),
+    "curve": ("curve", "prime", "degree"),
+    "expected-zeros": ("model", "prime", "degree", "region"),
+    "density": ("model", "prime", "degree"),
+}
+# the options each veronese check reads
+_VERONESE_OPTIONS = {
+    "isometry": ("kind", "n", "d", "prime", "check", "pairs", "seed"),
+    "jacobian": ("kind", "d", "prime", "check"),
+    "arclength": ("kind", "d", "prime", "check"),
+}
 
-    subcommand: str
-    params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "params": dict(self.params),
-            "stream_format": STREAM_FORMAT,
-        }
+def _options(args, names) -> dict:
+    """The named options of a run, as its report's config records them."""
+    return {name: getattr(args, name) for name in names}
 
 
 def _encode(obj):
@@ -52,9 +57,10 @@ def _encode(obj):
     return obj
 
 
-def emit_report(config: ExperimentConfig, results, path) -> str:
+def emit_report(subcommand: str, params: dict, results, path) -> str:
     """Write {config, results} as deterministic JSON; returns the text."""
-    payload = {"config": config.to_dict(), "results": _encode(results)}
+    config = {"subcommand": subcommand, "params": params, "stream_format": STREAM_FORMAT}
+    payload = {"config": config, "results": _encode(results)}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -89,15 +95,7 @@ def _cmd_roots(args) -> int:
     coeffs = [int(c) for c in args.coeffs.split(",")]
     precision = args.precision
     rep = roots.count_roots(args.prime, coeffs, args.chart, precision)
-    config = ExperimentConfig(
-        "roots",
-        {
-            "coeffs": coeffs,
-            "prime": args.prime,
-            "chart": args.chart,
-            "precision": precision,
-        },
-    )
+    params = {"coeffs": coeffs, "prime": args.prime, "chart": args.chart, "precision": precision}
     results = {
         "count": rep.count,
         "status": rep.status,
@@ -108,7 +106,7 @@ def _cmd_roots(args) -> int:
         "precision_consumed": rep.precision_consumed,
         "unresolved_classes": rep.unresolved_classes,
     }
-    text = emit_report(config, results, _out_path(args, "roots"))
+    text = emit_report("roots", params, results, _out_path(args, "roots"))
     print(text, end="")
     return 0 if rep.status == roots.EXACT else 1
 
@@ -140,17 +138,10 @@ def _cmd_count(args) -> int:
         est = exc.estimate
         stabilized = False
     res = est.counts[-1]
-    config = ExperimentConfig(
-        "count",
-        {
-            "gens": [str(g) for g in xset.generators],
-            "prime": args.prime,
-            "level": args.level,
-            "dim": args.dim,
-            "degree": args.degree,
-            "ambient": args.ambient,
-        },
-    )
+    params = {
+        "gens": [str(g) for g in xset.generators],
+        **_options(args, ("prime", "level", "dim", "degree", "ambient")),
+    }
     results = {
         "count": {
             "level": res.level,
@@ -165,7 +156,7 @@ def _cmd_count(args) -> int:
         "volume": _volume_results(est),
         "stabilized": stabilized,
     }
-    text = emit_report(config, results, _out_path(args, "count"))
+    text = emit_report("count", params, results, _out_path(args, "count"))
     print(text, end="")
     if args.csv and not args.no_files:
         _write_csv(
@@ -188,17 +179,10 @@ def _cmd_volume(args) -> int:
     except NotStabilized as exc:
         est = exc.estimate
         stabilized = False
-    config = ExperimentConfig(
-        "volume",
-        {
-            "gens": [str(g) for g in xset.generators],
-            "prime": args.prime,
-            "max_level": args.max_level,
-            "dim": args.dim,
-            "degree": args.degree,
-            "ambient": args.ambient,
-        },
-    )
+    params = {
+        "gens": [str(g) for g in xset.generators],
+        **_options(args, ("prime", "max_level", "dim", "degree", "ambient")),
+    }
     results = {"volume": _volume_results(est), "stabilized": stabilized}
     if xset.degree is not None:
         rep = countvol.check_degree_bound(xset, est)
@@ -208,28 +192,18 @@ def _cmd_volume(args) -> int:
             "normalized_ok": rep.normalized_ok,
             "slack": rep.slack,
         }
-    text = emit_report(config, results, _out_path(args, "volume"))
+    text = emit_report("volume", params, results, _out_path(args, "volume"))
     print(text, end="")
     return 0 if stabilized else 1
 
 
 def _cmd_veronese(args) -> int:
-    config = ExperimentConfig(
-        "veronese",
-        {
-            "kind": args.kind,
-            "n": args.n,
-            "d": args.d,
-            "prime": args.prime,
-            "check": args.check,
-            "pairs": args.pairs,
-            "seed": args.seed,
-        },
-    )
+    if args.kind == "standard" and args.check != "isometry":
+        raise ValueError(f"--check {args.check} needs --kind mahler")
     if args.check == "isometry":
         kind = veronese.STANDARD if args.kind == "standard" else veronese.MAHLER_AFFINE
         out = veronese.isometry_check(
-            veronese.VeroneseMap(kind, args.n if args.kind == "standard" else 1, args.d),
+            veronese.VeroneseMap(kind, args.n, args.d),
             args.prime,
             args.pairs,
             Stream(args.seed),
@@ -261,7 +235,8 @@ def _cmd_veronese(args) -> int:
         passed = True
     else:
         raise ValueError(f"unknown check {args.check!r}")
-    text = emit_report(config, results, _out_path(args, "veronese"))
+    params = _options(args, _VERONESE_OPTIONS[args.check])
+    text = emit_report("veronese", params, results, _out_path(args, "veronese"))
     print(text, end="")
     return 0 if passed else 1
 
@@ -272,34 +247,20 @@ def _cmd_igf(args) -> int:
         x = igf.LinearSubspace(2, [(0, 1, 0)])
         y = igf.LinearSubspace(2, [(0, 0, 1)])
         rep = igf.mc_linear_lemma(args.prime, x, y, None, args.ball, args.ball, cfg)
-        report_dict = rep.as_report_dict("linear-lemma")
     elif args.experiment == "curve":
         rep = igf.mc_igf_curve(args.prime, args.curve, args.degree, cfg)
-        report_dict = rep.as_report_dict("curve")
     elif args.experiment == "expected-zeros":
         model = RandomPolyModel(args.model, args.degree, args.prime)
         rep = igf.mc_expected_zeros(model, args.region, cfg)
-        report_dict = rep.as_report_dict("expected-zeros")
     elif args.experiment == "density":
         model = RandomPolyModel(args.model, args.degree, args.prime)
-        den = igf.density_uniformity_test(model, cfg)
-        report_dict = {
-            "experiment": "density",
-            "params": {"model": args.model, "prime": args.prime, "degree": args.degree, "seed": args.seed},
-            "n_samples": den.n_samples,
-            "excluded": den.excluded,
-            "chi2": f"{den.chi2:.12g}",
-            "p_value": f"{den.p_value:.12g}",
-            "rejects_uniformity": den.rejects_uniformity(),
-            "bins": den.bins,
-        }
+        rep = igf.density_uniformity_test(model, cfg)
     else:
         raise ValueError(f"unknown experiment {args.experiment!r}")
-    # where the report goes is not part of the experiment
-    skip = {"func", "outdir", "output_name", "no_files"}
-    config = ExperimentConfig("igf", {k: v for k, v in vars(args).items() if k not in skip})
+    report_dict = rep.as_report_dict(args.experiment)
     if args.output == "json":
-        text = emit_report(config, report_dict, _out_path(args, "igf"))
+        params = _options(args, _IGF_COMMON + _IGF_OPTIONS[args.experiment])
+        text = emit_report("igf", params, report_dict, _out_path(args, "igf"))
         print(text, end="")
     else:
         path = _out_path(args, "igf", "csv")
@@ -335,13 +296,11 @@ def _cmd_reproduce(args) -> int:
         results = accept.run_all(seed=args.seed, indices=indices, progress=progress)
     except KeyboardInterrupt:
         interrupted = True
-    config = ExperimentConfig(
-        "reproduce-paper", {"seed": args.seed, "only": sorted(indices) if indices else None}
-    )
+    params = {"seed": args.seed, "only": sorted(indices) if indices else None}
     rows = [r.row() for r in results]
     all_ok = bool(results) and all(r.passed and r.runtime_ok for r in results)
     payload = {"criteria": rows, "all_pass": all_ok, "interrupted": interrupted}
-    text = emit_report(config, payload, _out_path(args, "reproduce-paper"))
+    text = emit_report("reproduce-paper", params, payload, _out_path(args, "reproduce-paper"))
     if args.print_json:
         print(text, end="")
     _write_csv(

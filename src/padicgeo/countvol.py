@@ -63,10 +63,6 @@ class HomogPoly:
         return poly
 
     @property
-    def degree(self) -> int:
-        return sum(self.terms[0][0]) if self.terms else 0
-
-    @property
     def is_zero(self) -> bool:
         return not self.terms
 

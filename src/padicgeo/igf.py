@@ -113,7 +113,6 @@ class McReport:
     mean: float
     stderr: float
     target: Fraction
-    seed: int
     excluded: int
     params: dict = field(default_factory=dict)
 
@@ -148,43 +147,42 @@ def _plain(v):
     return v
 
 
-def _pooled(name, values, target, cfg, excluded, params) -> McReport:
-    n = len(values)
-    mean = statistics.fmean(values) if values else float("nan")
-    stderr = statistics.stdev(values) / math.sqrt(n) if n > 1 else 0.0
-    return McReport(
-        name=name,
-        n_samples=n,
-        mean=mean,
-        stderr=stderr,
-        target=Fraction(target),
-        seed=cfg.seed,
-        excluded=excluded,
-        params=params,
-    )
+def _draw(cfg: McConfig, one_sample):
+    """Apply one_sample to cfg.samples sample streams: (values, excluded).
 
-
-def _sample_streams(cfg: McConfig):
+    The samples are split across cfg.workers as evenly as possible, the
+    first workers taking one more; sample i of worker w reads
+    Stream(seed).child("worker", w).child("sample", i). values keeps stream
+    order; excluded counts the samples for which one_sample returned None.
+    """
     base = Stream(cfg.seed)
-    per = [cfg.samples // cfg.workers] * cfg.workers
-    for i in range(cfg.samples % cfg.workers):
-        per[i] += 1
+    per, extra = divmod(cfg.samples, cfg.workers)
+    values = []
+    excluded = 0
     for w in range(cfg.workers):
         worker = base.child("worker", w)
-        for i in range(per[w]):
-            yield worker.child("sample", i)
+        for i in range(per + (w < extra)):
+            v = one_sample(worker.child("sample", i))
+            if v is None:
+                excluded += 1
+            else:
+                values.append(v)
+    return values, excluded
 
 
 def _run_estimator(name, one_sample, target, cfg, params) -> McReport:
-    values = []
-    excluded = 0
-    for stream in _sample_streams(cfg):
-        v = one_sample(stream)
-        if v is None:
-            excluded += 1
-        else:
-            values.append(v)
-    return _pooled(name, values, target, cfg, excluded, params)
+    values, excluded = _draw(cfg, one_sample)
+    n = len(values)
+    target = Fraction(target)
+    return McReport(
+        name=name,
+        n_samples=n,
+        mean=statistics.fmean(values) if values else float("nan"),
+        stderr=statistics.stdev(values) / math.sqrt(n) if n > 1 else 0.0,
+        target=target,
+        excluded=excluded,
+        params={**params, "target": target, "seed": cfg.seed},
+    )
 
 
 # -- concrete estimators --------------------------------------------------------
@@ -274,13 +272,7 @@ def mc_linear_lemma(
         one_sample,
         target,
         cfg,
-        {
-            "p": p,
-            "ball_x": ball_x,
-            "ball_y": ball_y,
-            "target": target,
-            "seed": cfg.seed,
-        },
+        {"p": p, "ball_x": ball_x, "ball_y": ball_y},
     )
 
 
@@ -341,7 +333,7 @@ def mc_igf_curve(
         one_sample,
         target,
         cfg,
-        {"p": p, "curve": curve, "degree": d, "target": target, "seed": cfg.seed},
+        {"p": p, "curve": curve, "degree": d},
     )
 
 
@@ -389,14 +381,7 @@ def mc_expected_zeros(
         one_sample,
         target,
         cfg,
-        {
-            "p": model.prime,
-            "model": model.kind,
-            "degree": model.degree,
-            "region": region,
-            "target": target,
-            "seed": cfg.seed,
-        },
+        {"p": model.prime, "model": model.kind, "degree": model.degree, "region": region},
     )
 
 
@@ -406,15 +391,26 @@ UNIFORMITY_SIGNIFICANCE = 1e-3  # chi-square p-value below which uniformity is r
 @dataclass
 class DensityReport:
     bins: list
-    total_roots: int
     chi2: float
     p_value: float
     n_samples: int
     excluded: int
-    seed: int
+    params: dict = field(default_factory=dict)
 
     def rejects_uniformity(self) -> bool:
         return self.p_value < UNIFORMITY_SIGNIFICANCE
+
+    def as_report_dict(self, experiment: str) -> dict:
+        return {
+            "experiment": experiment,
+            "params": dict(self.params),
+            "n_samples": self.n_samples,
+            "excluded": self.excluded,
+            "chi2": f"{self.chi2:.12g}",
+            "p_value": f"{self.p_value:.12g}",
+            "rejects_uniformity": self.rejects_uniformity(),
+            "bins": self.bins,
+        }
 
 
 def density_uniformity_test(
@@ -427,34 +423,28 @@ def density_uniformity_test(
     """
     cfg = cfg or McConfig()
     p = model.prime
-    bins = [0] * (p + 1)
-    excluded = 0
-    n = 0
-    for stream in _sample_streams(cfg):
-        poly = sample_poly(model, stream)
+
+    def one_sample(stream):
         try:
-            rep = adaptive_count(poly, "p1")
+            rep = adaptive_count(sample_poly(model, stream), "p1")
         except CertificationCapExceeded:
-            excluded += 1
-            continue
-        n += 1
-        for w in rep.witnesses:
-            if w.chart == "zp":
-                bins[w.center % p] += 1
-            else:
-                bins[p] += 1
+            return None
+        return [w.center % p if w.chart == "zp" else p for w in rep.witnesses]
+
+    samples, excluded = _draw(cfg, one_sample)
+    bins = [0] * (p + 1)
+    for c in itertools.chain.from_iterable(samples):
+        bins[c] += 1
     from scipy.stats import chisquare
 
-    total = sum(bins)
-    if total == 0:
+    if sum(bins) == 0:
         raise InsufficientPrecision("no roots observed")
     chi2, p_value = chisquare(bins)
     return DensityReport(
         bins=bins,
-        total_roots=total,
         chi2=float(chi2),
         p_value=float(p_value),
-        n_samples=n,
+        n_samples=len(samples),
         excluded=excluded,
-        seed=cfg.seed,
+        params={"model": model.kind, "prime": p, "degree": model.degree, "seed": cfg.seed},
     )

@@ -94,14 +94,6 @@ def eval_standard(vmap: VeroneseMap, point: ProjPoint) -> ProjPoint:
     return ProjPoint(point.p, out)
 
 
-def eval_mahler_affine(d: int, t, p: int | None = None):
-    """(1, C(t,1), ..., C(t,d)) at an integer or p-integral rational t."""
-    t = Fraction(t)
-    if p is not None and vp_fraction(t, p) < 0:
-        raise DomainViolation("affine binomial map needs |t| <= 1")
-    return binomials(t, d)
-
-
 def mahler_jacobian_norm(p: int, d: int, a) -> Fraction:
     """|J| of the affine binomial map at a in Z_p: always p^floor(log_p d).
 
@@ -213,8 +205,8 @@ def isometry_check(
         else:
             s = pair_stream.child("s").digits(p).residue(_SAMPLE_DIGITS)
             t = pair_stream.child("t").digits(p).residue(_SAMPLE_DIGITS)
-            fs = eval_mahler_affine(vmap.d, s)
-            ft = eval_mahler_affine(vmap.d, t)
+            fs = binomials(s, vmap.d)
+            ft = binomials(t, vmap.d)
             diff = [a - b for a, b in zip(fs, ft)]
             rhs = sup_norm(diff, p)
             lhs = wedge_norm(fs, ft, p)

@@ -44,7 +44,7 @@ def test_wrong_target_fails_its_criterion(monkeypatch):
     def estimator(target_of):
         def mc_igf_curve(p, curve, d, cfg):
             target = target_of(p, curve, d)
-            return igf.McReport("curve", 1, float(target), 0.0, target, cfg.seed, 0)
+            return igf.McReport("curve", 1, float(target), 0.0, target, 0)
 
         return mc_igf_curve
 
@@ -61,11 +61,11 @@ def test_criterion_seeds_wrap_into_64_bits(monkeypatch, seed):
 
     def mc_report(cfg):
         seeds.append(cfg.seed)
-        return igf.McReport("stub", 1, 0.0, 0.0, Fraction(0), cfg.seed, 0)
+        return igf.McReport("stub", 1, 0.0, 0.0, Fraction(0), 0)
 
     def density(model, cfg):
         seeds.append(cfg.seed)
-        return igf.DensityReport([], 0, 0.0, 1.0, 1, 0, cfg.seed)
+        return igf.DensityReport([], 0.0, 1.0, 1, 0)
 
     monkeypatch.setattr(igf, "mc_expected_zeros", lambda model, region, cfg: mc_report(cfg))
     monkeypatch.setattr(igf, "mc_linear_lemma", lambda *args: mc_report(args[-1]))

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from padicgeo import accept, countvol, igf
-from padicgeo.cli import ExperimentConfig, emit_report, main
+from padicgeo.cli import emit_report, main
 from padicgeo.roots import RootReport
+from padicgeo.sample import STREAM_FORMAT
 from test_countvol import _full_build
 
 
@@ -294,6 +295,39 @@ class TestIgf:
         assert results["rejects_uniformity"] == "True"
 
 
+class TestRecordedOptions:
+    """A report's config records exactly the options its run read."""
+
+    @pytest.mark.parametrize(
+        "experiment,own",
+        [
+            ("linear-lemma", {"prime", "ball"}),
+            ("curve", {"curve", "prime", "degree"}),
+            ("expected-zeros", {"model", "prime", "degree", "region"}),
+            ("density", {"model", "prime", "degree"}),
+        ],
+    )
+    def test_igf_config_holds_the_options_of_its_experiment(self, capsys, experiment, own):
+        args = ["igf", "--experiment", experiment, "--prime", "3", "--samples", "20"]
+        _, out = run_cli(args + ["--no-files"], capsys)
+        common = {"experiment", "samples", "seed", "workers", "output"}
+        assert set(json.loads(out)["config"]["params"]) == common | own
+
+    @pytest.mark.parametrize(
+        "check,params",
+        [
+            ("isometry", {"kind", "n", "d", "prime", "check", "pairs", "seed"}),
+            ("jacobian", {"kind", "d", "prime", "check"}),
+            ("arclength", {"kind", "d", "prime", "check"}),
+        ],
+    )
+    def test_veronese_config_holds_the_options_of_its_check(self, capsys, check, params):
+        args = ["veronese", "--kind", "mahler", "--d", "3", "--prime", "3", "--check", check]
+        code, out = run_cli(args + ["--pairs", "5", "--seed", "2", "--no-files"], capsys)
+        assert code == 0
+        assert set(json.loads(out)["config"]["params"]) == params
+
+
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, capsys):
         args = [
@@ -355,10 +389,14 @@ class TestDeterminism:
 
 class TestReportRoundTrip:
     def test_config_and_results_round_trip(self):
-        config = ExperimentConfig("roots", {"prime": 5, "coeffs": [1, 0, -1]})
+        params = {"prime": 5, "coeffs": [1, 0, -1]}
         results = {"count": 2, "status": "exact"}
-        payload = json.loads(emit_report(config, results, None))
-        assert payload["config"] == config.to_dict()
+        payload = json.loads(emit_report("roots", params, results, None))
+        assert payload["config"] == {
+            "subcommand": "roots",
+            "params": params,
+            "stream_format": STREAM_FORMAT,
+        }
         assert payload["results"] == results
 
     def test_reports_record_the_stream_format(self, capsys):
@@ -373,11 +411,11 @@ class TestReportRoundTrip:
     def test_rational_encoding(self):
         from fractions import Fraction
 
-        text = emit_report(ExperimentConfig("volume", {}), {"v": Fraction(4, 3)}, None)
+        text = emit_report("volume", {}, {"v": Fraction(4, 3)}, None)
         assert json.loads(text)["results"]["v"] == {"num": 4, "den": 3}
 
     def test_float_rendering(self):
-        text = emit_report(ExperimentConfig("igf", {}), {"mean": 0.1234567890123456}, None)
+        text = emit_report("igf", {}, {"mean": 0.1234567890123456}, None)
         assert json.loads(text)["results"]["mean"] == "0.123456789012"
 
     def test_outdir_env(self, tmp_path, monkeypatch, capsys):
@@ -525,6 +563,27 @@ class TestUsageErrors:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("usage error:") and "pairs" in captured.err
+
+    def test_veronese_standard_kind_has_only_the_isometry_check(self, capsys):
+        for check in ("jacobian", "arclength"):
+            code = main(
+                ["veronese", "--kind", "standard", "--d", "3", "--prime", "3",
+                 "--check", check, "--no-files"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: --check {check} needs --kind mahler\n"
+
+    def test_veronese_mahler_kind_in_two_variables_is_a_usage_error(self, capsys):
+        code = main(
+            ["veronese", "--kind", "mahler", "--n", "2", "--d", "3", "--prime", "3",
+             "--check", "isometry", "--pairs", "5", "--no-files"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "univariate" in captured.err
 
     def test_veronese_degree_or_dimension_below_one_is_a_usage_error(self, capsys):
         for shape in (["--n", "1", "--d", "-1"], ["--n", "0", "--d", "2"]):

@@ -1,6 +1,7 @@
 """Linear subspaces and Monte Carlo estimators at module-test scale."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from padicgeo import igf
+from padicgeo.errors import CertificationCapExceeded
 from padicgeo.igf import (
     CURVE_LINE,
     CURVE_MAHLER,
@@ -391,6 +394,34 @@ class TestDensity:
         )
         assert rep.rejects_uniformity()
         assert rep.bins[-1] < min(rep.bins[:-1])  # infinity class is starved
+
+
+class TestExcludedSamples:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_capped_samples_are_excluded_and_tallied(self, monkeypatch, workers):
+        """Every third certification hits the cap: both estimators that
+        certify through adaptive_count exclude the same samples."""
+        count = igf.adaptive_count
+
+        def capped_every_third():
+            calls = itertools.count(1)
+
+            def adaptive_count(*args, **kwargs):
+                if next(calls) % 3 == 0:
+                    raise CertificationCapExceeded("precision cap")
+                return count(*args, **kwargs)
+
+            return adaptive_count
+
+        model = RandomPolyModel("monomial", 3, 3)
+        cfg = McConfig(samples=31, seed=5, workers=workers)
+        monkeypatch.setattr(igf, "adaptive_count", capped_every_third())
+        zeros = mc_expected_zeros(model, "p1", cfg)
+        monkeypatch.setattr(igf, "adaptive_count", capped_every_third())
+        density = density_uniformity_test(model, cfg)
+        assert zeros.excluded == density.excluded == 10
+        for rep in (zeros, density):
+            assert rep.n_samples + rep.excluded == cfg.samples
 
 
 class TestTransformForm:

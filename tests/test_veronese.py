@@ -18,7 +18,6 @@ from padicgeo.veronese import (
     arc_length,
     binomial_derivatives,
     binomials,
-    eval_mahler_affine,
     eval_standard,
     floor_log,
     isometry_check,
@@ -39,18 +38,14 @@ class TestEvaluation:
         assert img.coords == (1, 3, 9)
 
     def test_mahler_small_values(self):
-        assert eval_mahler_affine(2, 2) == [1, 2, 1]
-        assert eval_mahler_affine(3, 5) == [1, 5, 10, 10]
+        assert binomials(2, 2) == [1, 2, 1]
+        assert binomials(5, 3) == [1, 5, 10, 10]
 
     def test_mahler_unit_sphere_membership(self):
         # first coordinate is 1 and binomials of integers are integers
-        vec = eval_mahler_affine(4, 123456)
+        vec = binomials(123456, 4)
         assert vec[0] == 1
         assert all(v.denominator == 1 for v in vec)
-
-    def test_extended_domain_guard(self):
-        with pytest.raises(DomainViolation):
-            eval_mahler_affine(3, Fraction(1, 3), p=3)
 
     def test_standard_rejects_a_point_of_another_dimension(self):
         with pytest.raises(ValueError, match=r"lies in P\^2, the map is defined on P\^1"):
@@ -119,6 +114,12 @@ class TestJacobianNorms:
         for unit in (1, p + 1):
             t = Fraction(unit, p**m)
             assert mahler_extended_jacobian_norm(p, d, t) == expected
+
+    def test_norms_reject_points_outside_their_domain(self):
+        with pytest.raises(DomainViolation):
+            mahler_jacobian_norm(3, 3, Fraction(1, 3))
+        with pytest.raises(DomainViolation):
+            mahler_extended_jacobian_norm(3, 3, Fraction(5, 1))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_binomial_monotonicity_outside_zp(self, p):
