@@ -2,7 +2,7 @@
 
 Each criterion returns a CriterionResult with an exact or statistical
 verdict and its wall time; Monte Carlo gates use |mean - target| <= 4
-standard errors. Results are deterministic for a fixed seed (wall times
+standard errors, decided in exact rationals (``igf.McReport.passed``). Results are deterministic for a fixed seed (wall times
 are reported but never serialized).
 """
 

@@ -259,15 +259,17 @@ def _cmd_igf(args) -> int:
         raise ValueError(f"unknown experiment {args.experiment!r}")
     report_dict = rep.as_report_dict(args.experiment)
     if args.output == "json":
-        params = _options(args, _IGF_COMMON + _IGF_OPTIONS[args.experiment])
-        text = emit_report("igf", params, report_dict, _out_path(args, "igf"))
+        names = _IGF_COMMON + _IGF_OPTIONS[args.experiment]
+        if args.experiment == "curve" and args.curve == igf.CURVE_LINE:
+            names = tuple(n for n in names if n != "degree")  # a line has degree 1
+        text = emit_report("igf", _options(args, names), report_dict, _out_path(args, "igf"))
         print(text, end="")
     else:
-        path = _out_path(args, "igf", "csv")
-        header = sorted(report_dict)
-        _write_csv(path, header, [[_csv_cell(report_dict[k]) for k in header]])
-        print(",".join(header))
-        print(",".join(str(_csv_cell(report_dict[k])) for k in header))
+        cells = {**report_dict, "stream_format": STREAM_FORMAT}
+        header = sorted(cells)
+        row = [_csv_cell(cells[k]) for k in header]
+        _write_csv(_out_path(args, "igf", "csv"), header, [row])
+        csv.writer(sys.stdout).writerows([header, row])
     # a density report has no target: rejecting uniformity is a finding, not a failure
     return 0 if report_dict.get("pass", True) else 1
 

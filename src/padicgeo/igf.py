@@ -95,6 +95,9 @@ MATRIX_DIGITS = 12  # first rung of the precision ladder for Haar samples
 
 @dataclass
 class McConfig:
+    """Sample count and seed of a Monte Carlo run. ``workers`` is checked and
+    recorded but changes no result: sample i always reads the same stream."""
+
     samples: int = 20_000
     seed: int = 0
     workers: int = 1
@@ -114,13 +117,23 @@ class McReport:
     stderr: float
     target: Fraction
     excluded: int
+    sum_x: int  # S, the sum of the per-sample counts
+    sum_x2: int  # Q, the sum of their squares
     params: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        if self.stderr == 0:
-            return self.mean == float(self.target)
-        return abs(self.mean - float(self.target)) <= 4 * self.stderr
+        """|mean - target| <= 4 stderr, decided in exact rationals.
+
+        With n samples that is (S - n t)^2 (n - 1) <= 16 (n Q - S^2). With
+        one sample, or none spread, the mean must equal the target; with no
+        sample the gate fails.
+        """
+        n, s, t = self.n_samples, self.sum_x, self.target
+        spread = n * self.sum_x2 - s * s
+        if n <= 1 or spread == 0:
+            return n > 0 and s == n * t
+        return (s - n * t) ** 2 * (n - 1) <= 16 * spread
 
     @property
     def excluded_fraction(self) -> float:
@@ -148,39 +161,39 @@ def _plain(v):
 
 
 def _draw(cfg: McConfig, one_sample):
-    """Apply one_sample to cfg.samples sample streams: (values, excluded).
+    """Apply one_sample to the streams of samples 0 ... cfg.samples - 1:
+    (values, excluded).
 
-    The samples are split across cfg.workers as evenly as possible, the
-    first workers taking one more; sample i of worker w reads
-    Stream(seed).child("worker", w).child("sample", i). values keeps stream
+    Sample i reads Stream(seed).child("sample", i). values keeps sample
     order; excluded counts the samples for which one_sample returned None.
     """
     base = Stream(cfg.seed)
-    per, extra = divmod(cfg.samples, cfg.workers)
     values = []
     excluded = 0
-    for w in range(cfg.workers):
-        worker = base.child("worker", w)
-        for i in range(per + (w < extra)):
-            v = one_sample(worker.child("sample", i))
-            if v is None:
-                excluded += 1
-            else:
-                values.append(v)
+    for i in range(cfg.samples):
+        v = one_sample(base.child("sample", i))
+        if v is None:
+            excluded += 1
+        else:
+            values.append(v)
     return values, excluded
 
 
 def _run_estimator(name, one_sample, target, cfg, params) -> McReport:
+    """Tally the integer counts that one_sample returns into a report."""
     values, excluded = _draw(cfg, one_sample)
     n = len(values)
+    total = sum(values)
     target = Fraction(target)
     return McReport(
         name=name,
         n_samples=n,
-        mean=statistics.fmean(values) if values else float("nan"),
+        mean=total / n if n else float("nan"),
         stderr=statistics.stdev(values) / math.sqrt(n) if n > 1 else 0.0,
         target=target,
         excluded=excluded,
+        sum_x=total,
+        sum_x2=sum(v * v for v in values),
         params={**params, "target": target, "seed": cfg.seed},
     )
 
@@ -264,7 +277,7 @@ def mc_linear_lemma(
             # in the ball: every 2x2 minor of (u, centre) vanishes mod p^ball
             member_x = not ball_x or minor_valuation([ux[0], cx], 2, p) >= ball_x
             member_y = not ball_y or minor_valuation([uy[0], cy], 2, p) >= ball_y
-            return 1.0 if (member_x and member_y) else 0.0
+            return int(member_x and member_y)
         return None
 
     return _run_estimator(
@@ -311,7 +324,7 @@ def mc_igf_curve(
     size = d + 1
 
     def one_sample(stream):
-        g = HaarMatrix(stream.child("g"), p, size)
+        g = HaarMatrix(stream, p, size)
         for digits in precision_ladder(MATRIX_DIGITS):
             coeffs = g.inverse_row(0, digits)
             try:
@@ -325,7 +338,7 @@ def mc_igf_curve(
             if rep is not None and rep.status == EXACT:
                 if rep.count > d:
                     raise ConsistencyError(f"{rep.count} roots exceed the degree bound {d}")
-                return float(rep.count)
+                return rep.count
         return None
 
     return _run_estimator(
@@ -374,7 +387,7 @@ def mc_expected_zeros(
             rep = adaptive_count(poly, region)
         except CertificationCapExceeded:
             return None
-        return float(rep.count)
+        return rep.count
 
     return _run_estimator(
         "expected-zeros",

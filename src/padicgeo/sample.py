@@ -2,7 +2,7 @@
 
 Randomness is counter based, in the style of Random123 (Salmon et al.,
 SC'11): every drawn quantity is a pure function of (seed, derivation path,
-counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
+counter). Stream format 3 (``STREAM_FORMAT``) lays the bits out as follows.
 
 - An int seed in [0, 2^64) keys a 32-byte stream key. ``Stream.child(*labels)``
   keys a child with BLAKE2b over an injective encoding of the labels: each
@@ -16,20 +16,24 @@ counter). Stream format 2 (``STREAM_FORMAT``) lays the bits out as follows.
   p^(k+1) <= 2^512 (k = 322 at p = 3, 511 at p = 2), so a block is rejected
   with probability below 1/p. Block b gives digits b*k ... b*k + k - 1,
   least significant first.
-- A Haar matrix draws its entries in rounds r = 0, 1, ...; entry (i, j) of
-  round r is the digit stream of ``child("haar", r, i, j)``. The label code
-  is concatenative, so ``HaarMatrix`` keys each entry from the code of
-  ("haar", r) joined to the code of (i, j): the same bytes, within
-  format 2. Coefficient k of a random polynomial is the digit stream of
-  ``child("coeff", k)``.
-- Haar entries and polynomial coefficients draw block 0 when they are
-  created, key and block in one pass (``_first_blocks``): the bytes a first
-  read of the child stream would give. Later blocks are drawn on demand.
+- A sampled object with n entries (a Haar round's size^2 entries, row by row,
+  or a polynomial's d + 1 coefficients) reads all of them from the blocks of
+  one stream (``LaneDigits``). Each entry's digits are cut into segments of
+  s = max(1, k // n) digits, a block holds per = k // s lanes of s digits
+  (lane l is digits l*s ... l*s + s - 1 of the accepted value mod p^k), and
+  segment t of entry j is lane j mod per of block t*row + j // per, where
+  row = ceil(n / per) blocks hold one segment of every entry. At p = 3 a
+  3 x 3 round takes one block for its first 35 digits; at p = 2^61 - 1,
+  where k = 7, s = 1 and a segment row spans two blocks.
+- Round r of a Haar matrix drawn from ``stream`` reads
+  ``stream.child("haar", r)``, so rounds share no block; a polynomial reads
+  ``stream`` itself. Sample i of a Monte Carlo run reads
+  ``Stream(seed).child("sample", i)``, whatever the number of workers.
 
-Digits are addressable: digit i depends only on (key, i // k), so reading
-digits in any order, or extending the precision of a sampled object, never
-resamples digits already drawn. Streams are value-like; deriving a child
-never mutates the parent.
+Digits are addressable: digit i of entry j depends only on (key, j, i), so
+reading digits in any order, or extending the precision of one entry, never
+resamples a digit already drawn or changes another entry. Streams are
+value-like; deriving a child never mutates the parent.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 
-STREAM_FORMAT = 2  # recorded in every report config
+STREAM_FORMAT = 3  # recorded in every report config
 _BLOCK_BITS = 512
 _pack_counter = struct.Struct("<QQ").pack
 _blake2b = hashlib.blake2b
@@ -177,36 +181,77 @@ class DigitStream:
         return self._value % self.p**m
 
 
-def _first_blocks(key: bytes, head: bytes, codes, p: int):
-    """Digit streams of the children of ``key`` labelled ``head + code``, one
-    per code, each with block 0 already drawn.
-
-    Each holds the key and the block that ``Stream._derive(head + code)``
-    and its first ``residue`` would give; later blocks are drawn on demand.
-    """
-    layout = k, q, limit = _layout(p)
-    out = []
-    for code in codes:
-        d = DigitStream.__new__(DigitStream)
-        d.p, d._layout, d._known = p, layout, k
-        d._key = child = _blake2b(head + code, key=key, digest_size=32).digest()
-        d._value = _block(child, 0, q, limit)
-        out.append(d)
-    return out
-
-
 @functools.cache
-def _cell_codes(size: int):
-    """Label codes of the cells (i, j) of a size x size matrix, row by row."""
-    return tuple(_encode_labels((i, j)) for i in range(size) for j in range(size))
+def _lane_shape(p: int, n: int):
+    """(s, per, row, p^s) of an object with n base-p entries: s digits per
+    lane, per lanes per block and row blocks per segment."""
+    k = _layout(p)[0]
+    s = max(1, k // n)
+    per = k // s
+    return s, per, -(-n // per), p**s
+
+
+class LaneDigits:
+    """The base-p digits of the n entries of one sampled object.
+
+    Segment t of entry j (digits t*s ... t*s + s - 1) is lane j mod per of
+    block t*row + j // per of the stream, with (s, per, row) from
+    ``_lane_shape``. The entries that share a block form a group, and a block
+    is drawn once, for its whole group, when one of them is read past the
+    segments known. Segment 0 of every entry is drawn on creation.
+    """
+
+    __slots__ = ("p", "n", "_key", "_layout", "_shape", "_values", "_segments")
+
+    def __init__(self, stream: Stream, p: int, n: int):
+        self.p = p
+        self.n = n
+        self._key = stream.key
+        self._layout = _layout(p)
+        self._shape = _lane_shape(p, n)
+        self._values = [0] * n
+        self._segments = [0] * self._shape[2]
+        for g in range(self._shape[2]):
+            self._draw(g)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _draw(self, g: int) -> None:
+        """Draw the next segment of every entry in group g."""
+        _, q, limit = self._layout
+        _, per, row, ps = self._shape
+        t = self._segments[g]
+        v = _block(self._key, t * row + g, q, limit)
+        scale = ps**t
+        values = self._values
+        for j in range(g * per, min(self.n, g * per + per)):
+            v, lane = divmod(v, ps)
+            values[j] += lane * scale
+        self._segments[g] = t + 1
+
+    def residue(self, j: int, m: int) -> int:
+        """Entry j modulo p^m: uniform modulo p^m."""
+        s, per, _, _ = self._shape
+        g = j // per
+        while self._segments[g] * s < m:
+            self._draw(g)
+        if m < 0:
+            raise ValueError(f"precision {m} is negative")
+        return self._values[j] % self.p**m
+
+    def residues(self, m: int):
+        """Every entry modulo p^m."""
+        return [self.residue(j, m) for j in range(self.n)]
 
 
 class HaarMatrix:
     """A Haar-distributed element of GL_size(Z_p), truncated on demand.
 
-    Entries are uniform digit streams, rejection sampled (round by round)
-    until the determinant is a unit mod p; the law of the accepted matrix
-    truncated to m digits is the truncation of Haar measure.
+    Round r draws the size^2 entries, row by row, as the ``LaneDigits`` of
+    ``stream.child("haar", r)``; rounds are rejected until the determinant
+    is a unit mod p. The law of the accepted matrix truncated to m digits is
+    the truncation of Haar measure.
     """
 
     __slots__ = ("p", "size", "entries", "rounds")
@@ -216,19 +261,19 @@ class HaarMatrix:
             raise ValueError(f"matrix size must be >= 1, got {size}")
         self.p = p
         self.size = size
-        cells = _cell_codes(size)
         r = 0
         while True:
-            flat = _first_blocks(stream.key, _encode_labels(("haar", r)), cells, p)
-            low = [d._value % p for d in flat]
+            entries = LaneDigits(stream.child("haar", r), p, size * size)
+            low = [v % p for v in entries._values]
             if linalg.det([low[i : i + size] for i in range(0, len(low), size)]) % p:
                 break
             r += 1
-        self.entries = [flat[i : i + size] for i in range(0, len(flat), size)]
+        self.entries = entries
         self.rounds = r + 1
 
     def residue_rows(self, m: int):
-        return [[d.residue(m) for d in row] for row in self.entries]
+        flat = self.entries.residues(m)
+        return [flat[i : i + self.size] for i in range(0, len(flat), self.size)]
 
     def inverse(self, m: int):
         """The inverse matrix, modulo p^m."""
@@ -269,25 +314,19 @@ class RandomPolyModel:
 
 @dataclass
 class SampledPoly:
-    """A polynomial whose coefficients are extendable digit streams."""
+    """A polynomial whose coefficients are the extendable entries of one
+    ``LaneDigits``."""
 
     model: RandomPolyModel
-    coefficients: list = field(repr=False)
+    coefficients: LaneDigits = field(repr=False)
 
     def residues(self, m: int):
-        return [c.residue(m) for c in self.coefficients]
-
-
-@functools.cache
-def _coeff_codes(n: int):
-    """Label codes of ("coeff", k) for the coefficients k < n."""
-    return tuple(_encode_labels(("coeff", k)) for k in range(n))
+        return self.coefficients.residues(m)
 
 
 def sample_poly(model: RandomPolyModel, stream: Stream) -> SampledPoly:
     """Draw one polynomial from the model; coefficients stay extendable.
 
-    Coefficient k is the digit stream of ``stream.child("coeff", k)``.
+    Coefficient k is entry k of the ``LaneDigits`` of ``stream``.
     """
-    codes = _coeff_codes(model.n_coefficients)
-    return SampledPoly(model, _first_blocks(stream.key, b"", codes, model.prime))
+    return SampledPoly(model, LaneDigits(stream, model.prime, model.n_coefficients))

@@ -278,8 +278,8 @@ class TestIgf:
             "params",
             "rejects_uniformity",
         ]
-        assert results["chi2"] == "1.48056537102"
-        assert results["p_value"] == "0.686763041725"
+        assert results["chi2"] == "8.86544342508"
+        assert results["p_value"] == "0.0311344307475"
         assert results["rejects_uniformity"] is False
         assert sum(results["bins"]) > 0
 
@@ -293,6 +293,20 @@ class TestIgf:
         assert header == sorted(header) and "mean" not in header and "pass" not in header
         assert float(results["p_value"]) < 1e-3 < float(results["chi2"])
         assert results["rejects_uniformity"] == "True"
+
+    @pytest.mark.parametrize(
+        "experiment", ["linear-lemma", "curve", "expected-zeros", "density"]
+    )
+    def test_csv_rows_have_one_cell_per_header_name(self, capsys, tmp_path, experiment):
+        args = ["igf", "--outdir", str(tmp_path), "--experiment", experiment, "--prime", "3"]
+        code, out = run_cli(args + ["--samples", "30", "--output", "csv"], capsys)
+        assert code == 0
+        printed = list(csv.reader(out.splitlines()))
+        header, row = printed
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["stream_format"] == str(STREAM_FORMAT)
+        written = (tmp_path / "report-igf.csv").read_text().splitlines()
+        assert list(csv.reader(written)) == printed
 
 
 class TestRecordedOptions:
@@ -312,6 +326,18 @@ class TestRecordedOptions:
         _, out = run_cli(args + ["--no-files"], capsys)
         common = {"experiment", "samples", "seed", "workers", "output"}
         assert set(json.loads(out)["config"]["params"]) == common | own
+
+    def test_line_curve_config_has_no_degree(self, capsys):
+        args = ["igf", "--experiment", "curve", "--curve", "line", "--prime", "3"]
+        outs = []
+        for degree in ("1", "4"):
+            _, out = run_cli(args + ["--degree", degree, "--samples", "20", "--no-files"], capsys)
+            outs.append(out)
+        payload = json.loads(outs[0])
+        common = {"experiment", "samples", "seed", "workers", "output"}
+        assert set(payload["config"]["params"]) == common | {"curve", "prime"}
+        assert payload["results"]["params"]["degree"] == 1
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "check,params",
@@ -406,7 +432,7 @@ class TestReportRoundTrip:
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["config"]["stream_format"] == 2
+        assert json.loads(out)["config"]["stream_format"] == 3
 
     def test_rational_encoding(self):
         from fractions import Fraction

@@ -17,6 +17,7 @@ from padicgeo.igf import (
     CURVE_STANDARD,
     LinearSubspace,
     McConfig,
+    McReport,
     curve_target,
     density_uniformity_test,
     expected_zeros_target,
@@ -234,6 +235,15 @@ class TestCurveEstimators:
         assert rep.target == Fraction(9, 4) and rep.passed
 
 
+# one call of each igf experiment, given its McConfig
+WORKER_EXPERIMENTS = {
+    "linear-lemma": lambda cfg: mc_linear_lemma(3, X_LINE, Y_LINE, None, 1, 1, cfg),
+    "curve": lambda cfg: mc_igf_curve(3, CURVE_MAHLER, 3, cfg),
+    "expected-zeros": lambda cfg: mc_expected_zeros(RandomPolyModel("mahler", 3, 3), "zp", cfg),
+    "density": lambda cfg: density_uniformity_test(RandomPolyModel("monomial", 3, 3), cfg),
+}
+
+
 class TestExpectedZeros:
     def test_monomial_p1(self):
         rep = mc_expected_zeros(
@@ -275,10 +285,14 @@ class TestExpectedZeros:
         }
 
     def test_workers_split_is_deterministic(self):
-        cfg = McConfig(samples=400, seed=77, workers=3)
-        a = mc_expected_zeros(RandomPolyModel("monomial", 2, 3), "p1", cfg)
-        b = mc_expected_zeros(RandomPolyModel("monomial", 2, 3), "p1", cfg)
-        assert (a.mean, a.stderr, a.n_samples) == (b.mean, b.stderr, b.n_samples)
+        """Every igf experiment gives the same report for 1, 2 and 3 workers."""
+        for experiment, run in WORKER_EXPERIMENTS.items():
+            reports = [
+                run(McConfig(samples=120, seed=77, workers=w)).as_report_dict(experiment)
+                for w in (1, 2, 3)
+            ]
+            assert reports[0]["n_samples"] + reports[0]["excluded"] == 120
+            assert reports[1] == reports[0] and reports[2] == reports[0], experiment
 
 
 # The mc-zeros benchmark cells (model, d, p, region) and the two curve cells
@@ -300,20 +314,20 @@ PINNED_CURVE_CELLS = ((CURVE_STANDARD, 2), (CURVE_MAHLER, 3))
 # (mean, stderr) of each cell, in the order above; every cell has 200
 # samples, none excluded, and passes
 PINNED_MEANS = (
-    ("1.27", "0.0682553585431"),
-    ("1.08", "0.0673847424688"),
-    ("0.975", "0.0643629391785"),
-    ("1.005", "0.0655466000943"),
-    ("2.28", "0.078988581326"),
-    ("2.26", "0.102785330279"),
-    ("2.63", "0.108971897166"),
-    ("0.04", "0.0138911779242"),
-    ("2.475", "0.103199445871"),
-    ("1", "0.0708881205008"),
-    ("2.225", "0.0840069092636"),
+    ("0.96", "0.0708313873021"),
+    ("0.975", "0.0659059402848"),
+    ("0.94", "0.0636573743296"),
+    ("1.055", "0.0695272984239"),
+    ("2.16", "0.0831055513387"),
+    ("2.305", "0.102284827466"),
+    ("2.73", "0.103387352822"),
+    ("0.055", "0.016161092306"),
+    ("2.565", "0.114868834965"),
+    ("1.11", "0.0704579421218"),
+    ("2.22", "0.0848172732953"),
 )
 # BLAKE2b-128 of the eleven report dicts, JSON with sorted keys
-PINNED_DIGEST = "08b8a3f8b7f779f1136d48848b486491"
+PINNED_DIGEST = "3d2b26b68c7590692a7511d671473629"
 
 # (x, y, h, ball_x, ball_y) of mc_linear_lemma: two lines of P^2 with balls
 # of radius 1/p, the same lines whole, and two planes of P^3 cut by a
@@ -331,15 +345,15 @@ PINNED_LEMMA_CASES = {
 }
 PINNED_LEMMA_CELLS = tuple((p, case) for p in (2, 3) for case in ("balls", "lines", "h3"))
 PINNED_LEMMA_MEANS = (
-    ("0.13", "0.0238399183837"),
+    ("0.1", "0.0212664361503"),
     ("1", "0"),
-    ("0.19", "0.0278094738205"),
-    ("0.05", "0.015449707678"),
-    ("1", "0"),
+    ("0.16", "0.0259880142455"),
     ("0.085", "0.0197693992253"),
+    ("1", "0"),
+    ("0.075", "0.0186713173197"),
 )
 # BLAKE2b-128 of the six report dicts, JSON with sorted keys
-PINNED_LEMMA_DIGEST = "0d0e1c001c2b291806abf79899f01609"
+PINNED_LEMMA_DIGEST = "27c0be9de30737b5a57cb5423d2b93bb"
 
 
 class TestPinnedReports:
@@ -394,6 +408,46 @@ class TestDensity:
         )
         assert rep.rejects_uniformity()
         assert rep.bins[-1] < min(rep.bins[:-1])  # infinity class is starved
+
+
+def _tally(counts, target):
+    """The report of an estimator whose samples count ``counts``, in order."""
+    it = iter(counts)
+    cfg = McConfig(samples=len(counts))
+    return igf._run_estimator("stub", lambda stream: next(it), target, cfg, {})
+
+
+class TestExactGate:
+    """McReport.passed decides |mean - target| <= 4 stderr in exact rationals."""
+
+    @pytest.mark.parametrize(
+        "counts,target,exact",
+        [
+            # exactly 4 stderr off: in floats 0.8 > 4 * 0.19999999999999998
+            ((1, 1, 1, 1, 0), Fraction(0), True),
+            # just over 4 stderr off: float(target) rounds onto the boundary
+            ((1, 0), Fraction(5, 2) + Fraction(1, 10**20), False),
+            # no spread: the mean must be the target, which rounds to it in floats
+            ((2, 2, 2), Fraction(2) + Fraction(1, 10**20), False),
+        ],
+    )
+    def test_a_boundary_case_is_decided_exactly(self, counts, target, exact):
+        rep = _tally(counts, target)
+        assert (rep.n_samples, rep.sum_x, rep.sum_x2) == (
+            len(counts),
+            sum(counts),
+            sum(c * c for c in counts),
+        )
+        assert rep.passed is exact
+        floats = rep.mean == float(target) if rep.stderr == 0 else (
+            abs(rep.mean - float(target)) <= 4 * rep.stderr
+        )
+        assert floats is not exact
+
+    def test_one_sample_or_none(self):
+        assert _tally((3,), Fraction(3)).passed
+        assert not _tally((3,), Fraction(2)).passed
+        assert not McReport("stub", 0, float("nan"), 0.0, Fraction(0), 4, 0, 0).passed
 
 
 class TestExcludedSamples:

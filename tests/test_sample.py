@@ -1,5 +1,6 @@
 """Randomness: determinism, digit extension, uniformity, Haar law."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -12,10 +13,10 @@ from padicgeo import linalg
 from padicgeo.roots import count_roots_p1
 from padicgeo.sample import (
     HaarMatrix,
+    LaneDigits,
     RandomPolyModel,
     Stream,
     _encode_labels,
-    _layout,
     check_seed,
     sample_poly,
 )
@@ -25,23 +26,62 @@ from padicgeo.sample import (
 LARGE_P = 2**61 - 1
 
 
-def reference_haar(stream, p, size):
-    """(entries, rounds) of a Haar draw, built from ``child("haar", r, i, j)``
-    with a Leibniz determinant mod p."""
+def oracle_block(key, counter, p):
+    """Block ``counter`` of a key: the keyed BLAKE2b digest of (counter,
+    attempt) for the first attempt below the largest multiple of p^k under
+    2^512, taken mod p^k."""
+    q = p ** digits_per_block(p)
+    for attempt in itertools.count():
+        block = int.from_bytes(
+            hashlib.blake2b(struct.pack("<QQ", counter, attempt), key=key, digest_size=64).digest(),
+            "little",
+        )
+        if block < 2**512 // q * q:
+            return block % q
+
+
+def oracle_entries(key, p, n, m):
+    """Entries 0 ... n - 1, mod p^m, of an object keyed by ``key``.
+
+    With s = max(1, k // n) digits per lane, per = k // s lanes per block and
+    row = ceil(n / per) blocks per segment, segment t of entry j (its digits
+    t*s ... t*s + s - 1) is lane j mod per of block t*row + j // per, and
+    lane l of a block is its digits l*s ... l*s + s - 1.
+    """
+    k = digits_per_block(p)
+    s = max(1, k // n)
+    per = k // s
+    row = -(-n // per)
+    out = []
+    for j in range(n):
+        value = 0
+        for t in range(-(-m // s)):
+            block = oracle_block(key, t * row + j // per, p)
+            value += block // p ** (j % per * s) % p**s * p ** (t * s)
+        out.append(value % p**m)
+    return out
+
+
+def lane_digits(p, n):
+    """s, the digits per lane of an object with n entries."""
+    return max(1, digits_per_block(p) // n)
+
+
+def reference_haar(stream, p, size, m):
+    """(rows mod p^m, rounds) of a Haar draw, round r keyed by
+    ``child("haar", r)``, with a Leibniz determinant mod p."""
     r = 0
     while True:
-        grid = [
-            [stream.child("haar", r, i, j).digits(p) for j in range(size)]
-            for i in range(size)
-        ]
-        low = [[d.digit(0) for d in row] for row in grid]
+        key = stream.child("haar", r).key
+        low = oracle_entries(key, p, size * size, 1)
         det = sum(
             (-1) ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-            * math.prod(low[i][perm[i]] for i in range(size))
+            * math.prod(low[i * size + perm[i]] for i in range(size))
             for perm in itertools.permutations(range(size))
         )
         if det % p:
-            return grid, r + 1
+            flat = oracle_entries(key, p, size * size, m)
+            return [flat[i : i + size] for i in range(0, len(flat), size)], r + 1
         r += 1
 
 
@@ -57,7 +97,8 @@ def brute_force_gl_count(p, size):
 
 class TestStream:
     def test_golden_digits(self):
-        # frozen output of stream format 2 for (seed 42, child "x", p = 3);
+        # frozen output of a digit stream for (seed 42, child "x", p = 3),
+        # the same in stream formats 2 and 3;
         # the PRF is keyed BLAKE2b so these values are platform independent
         d = Stream(42).child("x").digits(3)
         assert [d.digit(i) for i in range(10)] == [1, 1, 0, 2, 0, 2, 2, 2, 1, 0]
@@ -139,8 +180,9 @@ class TestStream:
             assert key == Stream(5).child("haar", r, i, j).key
 
 
+@functools.cache
 def digits_per_block(p):
-    """k of stream format 2: the largest k with p^(k+1) <= 2^512 (322 at p = 3)."""
+    """k, the digits of one block: the largest k with p^(k+1) <= 2^512 (322 at p = 3)."""
     k = 1
     while p ** (k + 2) <= 2**512:
         k += 1
@@ -237,14 +279,16 @@ class TestHaar:
 
     @pytest.mark.parametrize("p", (2, 3, 5, LARGE_P))
     def test_entries_and_rounds_match_the_child_labels(self, p):
+        """Round r holds the lanes of ``child("haar", r)``."""
         for seed, size in itertools.product(range(100), range(1, 5)):
             stream = Stream(seed).child("oracle")
             g = HaarMatrix(stream, p, size)
-            grid, rounds = reference_haar(stream, p, size)
+            s = lane_digits(p, size * size)
+            rows, rounds = reference_haar(stream, p, size, 2 * s + 3)
             assert g.rounds == rounds
-            # the first digit past block 0, then 40 digits
-            for m in (_layout(p)[0] + 1, 40):
-                assert g.residue_rows(m) == [[d.residue(m) for d in row] for row in grid]
+            # the first digit, all of segment 0, one digit into segment 1, and deeper
+            for m in (1, s, s + 1, 2 * s + 3):
+                assert g.residue_rows(m) == [[x % p**m for x in row] for row in rows]
 
     @pytest.mark.parametrize(
         "size,p,m", list(itertools.product((1, 2, 3, 4), (2, 3, 5), (1, 6, 24)))
@@ -328,22 +372,38 @@ class TestPolyModels:
             RandomPolyModel("monomial", 0, 3)
 
     @pytest.mark.parametrize("p", (2, 3, 5))
-    def test_coefficients_match_the_child_labels(self, p):
+    def test_coefficients_match_the_lane_layout(self, p):
         for seed, degree in itertools.product(range(100), range(1, 8)):
             stream = Stream(seed).child("oracle")
             f = sample_poly(RandomPolyModel("mahler", degree, p), stream)
-            ref = [stream.child("coeff", k).digits(p) for k in range(degree + 1)]
-            for m in (40, _layout(p)[0] + 1):
-                assert f.residues(m) == [d.residue(m) for d in ref]
+            s = lane_digits(p, degree + 1)
+            want = oracle_entries(stream.key, p, degree + 1, 2 * s + 3)
+            # deepest first: a deeper read must not move a shallower one
+            for m in (2 * s + 3, s + 1, s, 1):
+                assert f.residues(m) == [x % p**m for x in want]
 
     def test_coefficients_extend_past_the_first_block_at_a_large_base(self):
-        assert _layout(LARGE_P)[0] == 7
+        # k = 7, so each of the 4 coefficients has 1 digit per block
+        assert digits_per_block(LARGE_P) == 7 and lane_digits(LARGE_P, 4) == 1
         for seed in range(50):
             stream = Stream(seed).child("oracle")
             f = sample_poly(RandomPolyModel("monomial", 3, LARGE_P), stream)
-            ref = [stream.child("coeff", k).digits(LARGE_P) for k in range(4)]
-            assert f.residues(5) == [d.residue(5) for d in ref]
-            assert f.residues(64) == [d.residue(64) for d in ref]
+            for m in (1, 5, 64):
+                assert f.residues(m) == oracle_entries(stream.key, LARGE_P, 4, m)
+
+    @pytest.mark.parametrize("p", (2, 3, LARGE_P))
+    @pytest.mark.parametrize("n", (1, 3, 9, 16))
+    def test_reading_one_entry_deeper_leaves_the_others_unchanged(self, p, n):
+        stream = Stream(6).child("deep", n)
+        s = lane_digits(p, n)
+        precisions = (1, s, s + 1)
+        fresh = [LaneDigits(stream, p, n).residues(m) for m in precisions]
+        for j in range(n):
+            lanes = LaneDigits(stream, p, n)
+            deep = lanes.residue(j, 3 * s + 2)
+            for m, want in zip(precisions, fresh):
+                assert lanes.residues(m) == want
+                assert deep % p**m == want[j]
 
     def test_identical_seed_identical_polys(self):
         model = RandomPolyModel("monomial", 4, 3)
