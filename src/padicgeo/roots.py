@@ -12,6 +12,20 @@ step down to t = a + p*s is an in-place Taylor shift (``substitute_digit``).
 ``precision_ladder`` is the one schedule of precisions that callers extend
 a sampled polynomial or matrix through.
 
+Two kinds of ball are provably rootless and are not descended; skipping
+them changes no field of a report.
+
+- Rule A (``count_roots``): on a ball c + p^L Z_p with L >= 1,
+  f(c + p^L s) = f(c) mod p, so when f(c) is a unit the ball's polynomial
+  reduces to a nonzero constant mod p and holds no root. The ball at
+  infinity has c = 0, and f(0) is the reversal's leading coefficient.
+- Rule B (``_Counter.run``): at a multiple residue root a (p | f(a) and
+  p | f'(a)), f(a + p s) = f(a) + p f'(a) s + p^2 (...), so when
+  f(a) != 0 mod p^2 the child has content p and reduces to the unit
+  f(a)/p: it has no root, and its descent would only have consumed
+  level + 2 digits. At precision 1 the child is zero at precision and
+  stays an unresolved class, and a spent depth budget still comes first.
+
 Counts are of DISTINCT roots. An exact-integer input is replaced by its
 squarefree part once per count, and the reversal is taken of that part;
 finite-precision inputs carry their uncertainty through the recursion and
@@ -164,7 +178,7 @@ class _Counter:
         if prec is INF:
             coeffs = trim(coeffs)
         else:
-            q = p ** int(prec)
+            q = p**prec
             coeffs = [c % q for c in coeffs]
         # v(gcd) is the least valuation; the gcd of no entries is 0, v = INF
         content = vp_int(math.gcd(*coeffs), p)
@@ -196,13 +210,16 @@ class _Counter:
                 self.witnesses.append(
                     Witness(center + p**level * a, level + 1, self.chart)
                 )
+            elif depth <= 0:
+                self.unresolved += 1
+            elif prec >= 2 and poly_eval(coeffs, a, p * p):
+                # rule B: f(a + p s) = f(a) + p f'(a) s + p^2 (...) with p | f'(a)
+                # and f(a) of valuation 1 has content p and reduces to the
+                # unit constant f(a)/p: a rootless child, which would only
+                # consume level + 2 digits (at precision 1 it is unresolved)
+                self.consumed = max(self.consumed, level + 2)
             else:
-                if depth <= 0:
-                    self.unresolved += 1
-                    continue
-                child = substitute_digit(
-                    coeffs, a, p, mod=None if prec is INF else p ** int(prec)
-                )
+                child = substitute_digit(coeffs, a, p, mod=None if prec is INF else p**prec)
                 self.run(child, prec, depth - 1, center + p**level * a, level + 1)
 
 
@@ -242,6 +259,8 @@ def count_roots(p, coeffs, region, precision=None) -> RootReport:
     p^precision.
     """
     balls = _region_balls(p, region)
+    if precision is not None and (type(precision) is not int or precision < 1):
+        raise ValueError(f"precision must be None or an int >= 1, not {precision!r}")
     coeffs = list(coeffs)
     if not any(coeffs):
         raise IdenticallyZeroAtPrecision("the zero polynomial")
@@ -252,13 +271,15 @@ def count_roots(p, coeffs, region, precision=None) -> RootReport:
         if coeffs[-1] == 0 and region != "qp":
             rev = [0] + rev  # y divides the reversal: a root at [1:0]
     else:
-        prec, mod = precision, p ** int(precision)
+        prec, mod = precision, p**precision
         f, rev = coeffs, coeffs[::-1]
     counter = _Counter(p)
     for chart, center, level in balls:
         poly = f if chart == "zp" else rev
         depth = DEPTH_BUDGET_FACTOR * (max(len(trim(poly)) - 1, 0) + 1)
         if level:
+            if poly_eval(poly, center % p, p):
+                continue  # rule A: f(c + p^level s) is a unit constant mod p
             poly = substitute_digit(poly, center, p, shift=level, mod=mod)
         counter.chart = chart
         counter.run(poly, prec, depth, center, level)
@@ -310,10 +331,12 @@ def verify_witness(p, coeffs, witness, precision=None) -> bool:
     The ball center + p^level Z_p was certified through the local polynomial
     h(s) = f(center + p^(level-1) s) divided by its content: the criterion
     |h(0)| < |h'(0)|^2 with |h'(0)| = 1 guarantees a unique root with
-    s in p Z_p, i.e. exactly one root of f in the witness ball.
+    s in p Z_p, i.e. exactly one root of f in the witness ball. A witness
+    in the chart "inf" is read on the reversal of the whole list ``coeffs``
+    (f's degree is its length less one), as ``count_roots`` found it.
     """
     local = substitute_digit(
-        coeffs,
+        coeffs[::-1] if witness.chart == "inf" else coeffs,
         witness.center,
         p,
         shift=witness.level - 1,

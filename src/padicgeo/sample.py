@@ -198,7 +198,8 @@ class LaneDigits:
     block t*row + j // per of the stream, with (s, per, row) from
     ``_lane_shape``. The entries that share a block form a group, and a block
     is drawn once, for its whole group, when one of them is read past the
-    segments known. Segment 0 of every entry is drawn on creation.
+    segments known. Segment 0 of every entry is cut on creation, in one pass
+    over blocks 0 ... row - 1.
     """
 
     __slots__ = ("p", "n", "_key", "_layout", "_shape", "_values", "_segments")
@@ -208,25 +209,34 @@ class LaneDigits:
         self.n = n
         self._key = stream.key
         self._layout = _layout(p)
-        self._shape = _lane_shape(p, n)
-        self._values = [0] * n
-        self._segments = [0] * self._shape[2]
-        for g in range(self._shape[2]):
-            self._draw(g)
+        self._shape = _, per, row, _ = _lane_shape(p, n)
+        self._values = []
+        for g in range(row):
+            self._values += self._lanes(g, min(per, n - g * per))
+        self._segments = [1] * row
 
     def __len__(self) -> int:
         return self.n
 
+    def _lanes(self, b: int, count: int):
+        """The first count lanes, of s digits each, of block b."""
+        _, q, limit = self._layout
+        ps = self._shape[3]
+        v = _block(self._key, b, q, limit)
+        lanes = []
+        for _ in range(count):
+            v, lane = divmod(v, ps)
+            lanes.append(lane)
+        return lanes
+
     def _draw(self, g: int) -> None:
         """Draw the next segment of every entry in group g."""
-        _, q, limit = self._layout
         _, per, row, ps = self._shape
         t = self._segments[g]
-        v = _block(self._key, t * row + g, q, limit)
+        start = g * per
         scale = ps**t
         values = self._values
-        for j in range(g * per, min(self.n, g * per + per)):
-            v, lane = divmod(v, ps)
+        for j, lane in enumerate(self._lanes(t * row + g, min(per, self.n - start)), start):
             values[j] += lane * scale
         self._segments[g] = t + 1
 
@@ -242,6 +252,9 @@ class LaneDigits:
 
     def residues(self, m: int):
         """Every entry modulo p^m."""
+        if 0 <= m <= self._shape[0]:  # segment 0, drawn on creation, holds them
+            pm = self.p**m
+            return [v % pm for v in self._values]
         return [self.residue(j, m) for j in range(self.n)]
 
 

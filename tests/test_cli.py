@@ -482,6 +482,17 @@ class TestUsageErrors:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_precision_below_one_is_a_usage_error(self, capsys, precision):
+        code = main(
+            ["roots", "--coeffs", "1,0,-2", "--prime", "7", "--precision", precision, "--no-files"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = f"usage error: precision must be None or an int >= 1, not {precision}\n"
+        assert captured.err == want
+
     def test_annulus_below_level_one_is_a_usage_error(self, capsys):
         for model, region in itertools.product(("monomial", "mahler"), ("annulus:0", "annulus:-1")):
             code = main(

@@ -1,11 +1,13 @@
 """Root counting: spec examples, witness soundness, brute-force equivalence."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from padicgeo import roots
 from padicgeo.errors import IdenticallyZeroAtPrecision
 from padicgeo.roots import (
     EXACT,
@@ -244,21 +246,29 @@ class TestWitnessSoundness:
             coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 5))]
             if all(c == 0 for c in coeffs):
                 continue
-            rep = count_roots_zp(p, coeffs)
-            if rep.status != EXACT:
-                continue
-            balls = {(w.center % p**w.level, w.level) for w in rep.witnesses}
-            assert len(balls) == rep.count
-            for w1 in rep.witnesses:
-                for w2 in rep.witnesses:
-                    if w1 is w2:
-                        continue
-                    lo = min(w1.level, w2.level)
-                    assert (w1.center - w2.center) % p**lo != 0, "overlapping balls"
-            from padicgeo.roots import squarefree_part, trim
+            sf = squarefree_part(coeffs)
+            for region in ("zp", "qp", "p1", "annulus:1"):
+                rep = count_roots(p, coeffs, region)
+                if rep.status != EXACT:
+                    continue
+                balls = {(w.center % p**w.level, w.level, w.chart) for w in rep.witnesses}
+                assert len(balls) == rep.count
+                for w1 in rep.witnesses:
+                    for w2 in rep.witnesses:
+                        if w1 is w2 or w1.chart != w2.chart:
+                            continue
+                        lo = min(w1.level, w2.level)
+                        assert (w1.center - w2.center) % p**lo != 0, "overlapping balls"
+                # a form of degree len(coeffs) - 1 keeps its root y = 0 at [1:0]
+                form = sf + [0] if region == "p1" and coeffs[-1] == 0 else sf
+                assert all(verify_witness(p, form, w) for w in rep.witnesses), (coeffs, region)
 
-            sf = squarefree_part(trim(list(coeffs)))
-            assert all(verify_witness(p, sf, w) for w in rep.witnesses)
+    def test_infinity_chart_witness_reads_the_reversal(self):
+        # 7 t - 1 has its root 1/7 at y = 7 on the chart at infinity
+        rep = count_roots_qp(7, [-1, 7])
+        assert rep.witnesses == [Witness(7, 2, "inf")]
+        assert verify_witness(7, [-1, 7], rep.witnesses[0]) is True
+        assert verify_witness(7, [-1, 7], Witness(7, 2, "zp")) is False
 
 
 class TestBruteForceEquivalence:
@@ -308,6 +318,31 @@ class TestFinitePrecision:
         coeffs = [(-(3**12)) % 3**5, 0, 1]
         r = count_roots_zp(p, coeffs, precision=5)
         assert r.status != EXACT
+
+    def test_depth_budget_comes_before_a_rootless_child(self):
+        # t^2 + 3^25: twelve children t = 3 s divide out 3^2 each, and the
+        # thirteenth node, s^2 + 3, has the rootless child of rule B. There
+        # the depth budget 4 * (2 + 1) = 12 is spent, so the class stays
+        # unresolved rather than counted as no root
+        rep = count_roots_zp(3, [3**25, 0, 1])
+        assert rep == RootReport(0, UNDETERMINED, [], precision_consumed=14, unresolved_classes=1)
+        # with two fewer digits of content rule B decides the class
+        rep = count_roots_zp(3, [3**23, 0, 1])
+        assert rep == RootReport(0, EXACT, [], precision_consumed=13)
+
+    def test_a_rootless_child_at_precision_one_is_unresolved(self):
+        # t^2 + 3 mod 3 is t^2: its child at t = 0 is zero at precision 1
+        assert count_roots_zp(3, [3, 0, 1], precision=1) == RootReport(
+            0, UNDETERMINED, [], unresolved_classes=1
+        )
+        assert count_roots_zp(3, [3, 0, 1], precision=2) == RootReport(
+            0, EXACT, [], precision_consumed=2
+        )
+
+    @pytest.mark.parametrize("precision", [0, -1, 2.5, 3.0, True, "3"])
+    def test_precision_must_be_none_or_a_positive_int(self, precision):
+        with pytest.raises(ValueError, match="precision"):
+            count_roots(7, [1, 0, -2], "zp", precision)
 
 
 def test_mahler_power_basis_values():
@@ -481,6 +516,46 @@ def test_fixed_precision_qp_adds_a_class_when_the_leading_coefficient_vanishes(p
             assert qp.count <= count_roots(p, coeffs[:-1] + [lead], "qp").count, coeffs
 
 
+def _descended_balls(monkeypatch):
+    """The (chart, center, level) of every node the counter descends, in order."""
+    seen = []
+    run = roots._Counter.run
+
+    def spy(self, coeffs, prec, depth, center, level):
+        seen.append((self.chart, center, level))
+        return run(self, coeffs, prec, depth, center, level)
+
+    monkeypatch.setattr(roots._Counter, "run", spy)
+    return seen
+
+
+def test_a_ball_of_unit_value_is_skipped(monkeypatch):
+    # rule A: the reversal of 1 + t is 1 at y = 0, a unit, so no ball of
+    # the annulus |t| = 3 can hold a root
+    seen = _descended_balls(monkeypatch)
+    assert count_roots_annulus(3, [1, 1], 1) == RootReport(0, EXACT, [])
+    assert count_roots_annulus(3, [1, 1], 1, precision=4) == RootReport(0, EXACT, [])
+    assert seen == []
+    # 9 t^2 - 1: the leading coefficient 9 is not a unit, both balls descend
+    rep = count_roots_annulus(3, [-1, 0, 9], 1)
+    assert (rep.count, rep.status) == (2, EXACT)
+    assert [ball for ball in seen if ball[2] == 2] == [("inf", 3, 2), ("inf", 6, 2)]
+
+
+def test_a_leading_coefficient_zero_at_precision_keeps_the_ball_at_infinity(monkeypatch):
+    # 81 t^2 + t + 1 at precision 4: the ball at infinity is descended, and
+    # its class at y = 0 counts once, as unresolved, in Q_p
+    seen = _descended_balls(monkeypatch)
+    rep = count_roots_qp(3, [1, 1, 81], precision=4)
+    assert ("inf", 0, 1) in seen
+    assert rep == RootReport(
+        1, LOWER_BOUND, [Witness(2, 1, "zp")], precision_consumed=2, unresolved_classes=1
+    )
+    assert count_roots(3, [1, 1, 81], "p1", 4) == RootReport(
+        2, EXACT, [Witness(2, 1, "zp"), Witness(0, 2, "inf")], precision_consumed=2
+    )
+
+
 def test_fixed_precision_qp_never_counts_the_class_of_y_zero():
     # 9 t^2 - 1 listed with a zero leading coefficient has two roots in Q_p
     rep = count_roots(3, [-1, 0, 9, 0], "qp", 6)
@@ -532,3 +607,47 @@ GOLDEN_TRAILING_ZERO = [
 @pytest.mark.parametrize("region, expected", GOLDEN_TRAILING_ZERO)
 def test_golden_report_for_a_trailing_zero_list(region, expected, precision):
     assert count_roots(3, [-1, 0, 9, 0], region, precision) == expected
+
+
+# --- byte identity of the descent ---------------------------------------------
+
+
+def _golden_polys():
+    """Seeded polynomials of degree 1-8 at p = 2, 3, 5, 7, four kinds each:
+    coefficients with scattered p-content, a multiple residue root
+    (t - a)^2 g + p h, a leading coefficient 0 or divisible by p, and a
+    polynomial with content p^e."""
+    rng = random.Random(2026)
+    for p in (2, 3, 5, 7):
+        for d in range(1, 9):
+            for kind in range(4):
+                f = [rng.randint(-40, 40) * p ** rng.choice((0, 0, 1, 2)) for _ in range(d + 1)]
+                if kind == 1 and d >= 2:
+                    a = rng.randrange(p)
+                    g = [rng.randint(-9, 9) for _ in range(d - 1)] + [rng.choice((1, -1, 2))]
+                    h = [rng.randint(-3, 3) * p ** rng.choice((0, 1)) for _ in range(d + 1)]
+                    f = [x + p * y for x, y in zip(_poly_mul(_poly_mul([-a, 1], [-a, 1]), g), h)]
+                elif kind == 2:
+                    f[-1] = rng.choice((0, p, -(p**2), p**3 * rng.randint(1, 5)))
+                elif kind == 3:
+                    f = [c * p ** rng.randint(1, 3) for c in f]
+                if any(f):
+                    yield p, f
+
+
+def test_reports_match_the_golden_digest():
+    """Every field of 3,200 reports (the polynomials above, every region,
+    precision exact, 1, 2, 3 and 8) hashes to the digest of the descent
+    that visited every residue root's child and every ball; the digest was
+    taken before the rootless balls and children were skipped."""
+    lines = []
+    for p, f in _golden_polys():
+        for region in ("zp", "qp", "p1", "annulus:1", "annulus:2"):
+            for precision in (None, 1, 2, 3, 8):
+                try:
+                    lines.append(repr(count_roots(p, f, region, precision)))
+                except IdenticallyZeroAtPrecision:
+                    lines.append("zero")
+    assert len(lines) == 3200
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6bb37553812d71e670a51a706508752184eeef923c58bc8e33f8052246382fde"

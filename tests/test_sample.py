@@ -405,6 +405,20 @@ class TestPolyModels:
                 assert lanes.residues(m) == want
                 assert deep % p**m == want[j]
 
+    @pytest.mark.parametrize("p", (2, 3, LARGE_P))
+    @pytest.mark.parametrize("n", (1, 3, 9))
+    def test_residues_of_all_entries_match_each_entry(self, p, n):
+        # at and below s the values cut on creation are read directly; past s
+        # every group draws its next block
+        stream = Stream(7).child("all", n)
+        s = lane_digits(p, n)
+        for m in (0, 1, s - 1, s, s + 1, 2 * s + 3):
+            lanes = LaneDigits(stream, p, n)
+            whole = LaneDigits(stream, p, n).residues(m)
+            assert whole == [lanes.residue(j, m) for j in range(n)], m
+        with pytest.raises(ValueError):
+            LaneDigits(stream, p, n).residues(-1)
+
     def test_identical_seed_identical_polys(self):
         model = RandomPolyModel("monomial", 4, 3)
         f = sample_poly(model, Stream(99).child("w"))
